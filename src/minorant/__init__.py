@@ -7,6 +7,7 @@ Layers:
   sublinear functionals, affine/linear maps
 * :mod:`minorant.gauge` — the epigraph gauge of a shifted convex function
 * :mod:`minorant.lp` — self-contained dense simplex (Bland's rule)
+* :mod:`minorant.scan` — the pairwise midpoint hypothesis scan
 * :mod:`minorant.mok` — linear functionals tight over finite sets
 * :mod:`minorant.synth` — affine minorants tight over scored sets,
   finite sets, polytopes, and affine compositions

@@ -17,7 +17,7 @@ with no tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .core import (
     ToleranceConfig,
 )
 from .lp import LpError, solve_lp
-from .mok import MidpointReport
-from .synth import GRID_RESOLUTION, _grid_points
+from .scan import MidpointReport, midpoint_scan
+from .synth import GRID_RESOLUTION, _auto_report, _grid_points
 
 __all__ = [
     "HblInstance",
@@ -108,30 +108,8 @@ def check_midpoint_hbl(
     tol_mid: float = DEFAULT_TOL.tol_mid,
 ) -> MidpointReport:
     """Pairwise scan of the summed midpoint condition, payload included."""
-    nz = inst.nkeys
-    kv = _payload_or_zero(inst)
-    witnesses: Dict[Tuple[int, int], int] = {}
-    worst: Optional[Tuple[Tuple[int, int], float]] = None
-    for i in range(nz):
-        for j in range(i, nz):
-            total = kv - 0.5 * (kv[i] + kv[j])
-            for S, tab in zip(inst.sublinears, inst.tables):
-                mid = 0.5 * (tab[i] + tab[j])
-                total = total + S.batch(tab - mid)
-            found = -1
-            for c in range(nz):
-                if total[c] <= tol_mid:
-                    found = c
-                    break
-            if found >= 0:
-                witnesses[(i, j)] = found
-            else:
-                best = float(np.min(total))
-                if worst is None or best > worst[1]:
-                    worst = ((i, j), best)
-    if worst is not None:
-        return MidpointReport(False, witnesses, worst)
-    return MidpointReport(True, witnesses, None)
+    gains = [tab @ S.pieces.T for S, tab in zip(inst.sublinears, inst.tables)]
+    return midpoint_scan(gains, inst.payload, tol_mid)
 
 
 def solve_hbl_n(
@@ -144,7 +122,13 @@ def solve_hbl_n(
     return _solve_product(inst, tol)
 
 
-def _solve_product(inst: HblInstance, tol: ToleranceConfig) -> HblCertificate:
+def _solve_product(
+    inst: HblInstance,
+    tol: ToleranceConfig,
+    midpoint: Optional[MidpointReport] = None,
+) -> HblCertificate:
+    """The product LP; the key set is scanned for the midpoint condition
+    unless a report is given."""
     nz = inst.nkeys
     counts = [S.npieces for S in inst.sublinears]
     offsets = np.cumsum([0] + counts)
@@ -190,7 +174,8 @@ def _solve_product(inst: HblInstance, tol: ToleranceConfig) -> HblCertificate:
 
     value = float(np.min(lin_side))
     target = float(np.min(sub_side))
-    midpoint = check_midpoint_hbl(inst, tol.tol_mid)
+    if midpoint is None:
+        midpoint = check_midpoint_hbl(inst, tol.tol_mid)
     return HblCertificate(
         maps=maps,
         weights=weights,
@@ -218,6 +203,7 @@ def solve_hbl_jk(
     as approximate.
     """
     approximate = False
+    midpoint = None
     if isinstance(Z, Polytope):
         if not isinstance(j, AffineTransform):
             raise InvalidInput("polytope form needs an affine composition map")
@@ -232,6 +218,9 @@ def solve_hbl_jk(
             raise InvalidInput("polytope form needs an affine or max-affine payload")
         j_table = Zpts @ j.matrix.T + j.offset
         k_table = k.batch(Zpts)
+        # The polytope itself satisfies the condition through literal
+        # midpoints; its vertices or grid points as a finite set need not.
+        midpoint = _auto_report()
     else:
         j_table = np.asarray(j, dtype=np.float64).reshape(-1, S.dim)
         k_table = np.asarray(k, dtype=np.float64).reshape(-1)
@@ -243,5 +232,5 @@ def solve_hbl_jk(
         sublinears=[S, identity],
         tables=[j_table, k_table.reshape(-1, 1)],
     )
-    cert = _solve_product(inst, tol)
+    cert = _solve_product(inst, tol, midpoint)
     return cert, approximate

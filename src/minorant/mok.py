@@ -11,8 +11,8 @@ can confirm it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -25,27 +25,9 @@ from .core import (
     as_vector,
 )
 from .lp import LpError, LpSolution, solve_lp
+from .scan import MidpointReport, midpoint_scan
 
 __all__ = ["MidpointReport", "MokCertificate", "check_midpoint", "solve_mok", "solve_lp"]
-
-
-@dataclass(frozen=True)
-class MidpointReport:
-    """Outcome of the pairwise midpoint scan.
-
-    ``witnesses`` maps each index pair (i, j), i <= j, to the index of the
-    first element d with S(d - (d_i + d_j)/2) within tolerance of <= 0.
-    When violated, ``violation`` holds the worst pair and the least value any
-    candidate achieved for it.
-    """
-
-    satisfied: bool
-    witnesses: Dict[Tuple[int, int], int]
-    violation: Optional[Tuple[Tuple[int, int], float]] = None
-
-    @property
-    def status(self) -> str:
-        return "satisfied" if self.satisfied else "violated"
 
 
 @dataclass(frozen=True)
@@ -79,27 +61,7 @@ def check_midpoint(
     """Scan every unordered pair in D for a candidate d with
     S(d - (d1 + d2)/2) <= tol_mid; record first witnesses in input order."""
     pts = _as_point_rows(D, S.dim)
-    k = pts.shape[0]
-    witnesses: Dict[Tuple[int, int], int] = {}
-    worst: Optional[Tuple[Tuple[int, int], float]] = None
-    for i in range(k):
-        for j in range(i, k):
-            mid = 0.5 * (pts[i] + pts[j])
-            vals = S.batch(pts - mid)
-            found = -1
-            for c in range(k):
-                if vals[c] <= tol_mid:
-                    found = c
-                    break
-            if found >= 0:
-                witnesses[(i, j)] = found
-            else:
-                best = float(np.min(vals))
-                if worst is None or best > worst[1]:
-                    worst = ((i, j), best)
-    if worst is not None:
-        return MidpointReport(False, witnesses, worst)
-    return MidpointReport(True, witnesses, None)
+    return midpoint_scan([pts @ S.pieces.T], None, tol_mid)
 
 
 def solve_mok(

@@ -18,7 +18,7 @@ yields lam > 0 and A = Lam/lam - 1/lam + f(0) + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .core import (
 )
 from .gauge import shift
 from .lp import LpError, solve_lp
-from .mok import MidpointReport
+from .scan import MidpointReport, midpoint_scan
 
 __all__ = [
     "FiniteScoredSet",
@@ -46,7 +46,6 @@ __all__ = [
     "LiftedLinear",
     "DominationReport",
     "SynthCertificate",
-    "UnboundedBelow",
     "DegenerateLambda",
     "ConditionViolated",
     "build_gauge_support_lp",
@@ -66,12 +65,6 @@ DOMINATION_SAMPLES = 10_000
 DOMINATION_BOX = 10.0       # domination samples drawn uniformly from [-10, 10]^d
 GRID_RESOLUTION = 256       # barycentric grid steps for the approximate path
 _GRID_POINT_CAP = 500_000   # coarsen rather than enumerate beyond this
-_UNBOUNDED_SENTINEL = -1e12
-
-
-class UnboundedBelow(RuntimeError):
-    """The scored infimum is -inf (LP unbounded or below the sentinel);
-    callers fall back to supporting a single point."""
 
 
 class DegenerateLambda(RuntimeError):
@@ -170,7 +163,7 @@ class SynthCertificate:
     domination: DominationReport
     condition: MidpointReport
     approximate: bool = False
-    fallback: Optional[str] = None
+    fallback: Optional[str] = None   # always None; kept in the report format
 
 
 @dataclass(frozen=True)
@@ -210,29 +203,7 @@ def check_scored_midpoint(
     equality already holds at ray parameter 0, so only the asymptotic slope
     can break it.
     """
-    k = B.size
-    witnesses: Dict[Tuple[int, int], int] = {}
-    worst: Optional[Tuple[Tuple[int, int], float]] = None
-    for i in range(k):
-        for j in range(i, k):
-            mid_b = 0.5 * (B.points[i] + B.points[j])
-            mid_s = 0.5 * (B.scores[i] + B.scores[j])
-            W = B.points - mid_b
-            rec = np.max(W @ F.slopes.T, axis=1) + (B.scores - mid_s)
-            found = -1
-            for c in range(k):
-                if rec[c] <= tol:
-                    found = c
-                    break
-            if found >= 0:
-                witnesses[(i, j)] = found
-            else:
-                best = float(np.min(rec))
-                if worst is None or best > worst[1]:
-                    worst = ((i, j), best)
-    if worst is not None:
-        return MidpointReport(False, witnesses, worst)
-    return MidpointReport(True, witnesses, None)
+    return midpoint_scan([B.points @ F.slopes.T], B.scores, tol)
 
 
 def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -269,12 +240,8 @@ def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.n
 
 
 def min_over_scored_set(F: MaxAffineFn, B: ScoredSet) -> Tuple[float, np.ndarray]:
-    """Scored infimum of f over B with a minimizing witness.
-
-    Raises UnboundedBelow when the value falls below the sentinel (cannot
-    occur for finite sets or bounded polytopes, but the guard is kept so the
-    fallback branch stays exercised end to end).
-    """
+    """Scored infimum of f over B with a minimizing witness.  It is always
+    finite: B is a finite set or a bounded polytope."""
     if isinstance(B, FiniteScoredSet):
         vals = F.batch(B.points) + B.scores
         i = int(np.argmin(vals))
@@ -285,8 +252,6 @@ def min_over_scored_set(F: MaxAffineFn, B: ScoredSet) -> Tuple[float, np.ndarray
         x_star, _ = min_convex_over_polytope(composed, B.polytope.vertices)
         delta = float(composed(x_star))
         witness = x_star
-    if delta < _UNBOUNDED_SENTINEL:
-        raise UnboundedBelow(f"scored infimum below sentinel: {delta}")
     return delta, witness
 
 
@@ -373,14 +338,35 @@ def synth_affine_from_scored_set(
     certificate; when it holds, the LP level reaches 1 and the two scored
     infima agree within tolerance.
     """
-    delta, _ = min_over_scored_set(F, B)
     if isinstance(B, FiniteScoredSet):
         condition = check_scored_midpoint(F, B, tol.tol_mid)
-        pts, sc = B.points, B.scores
     else:
         condition = _auto_report()
+    return _synth_scored(F, B, condition, tol)
+
+
+def _synth_scored(
+    F: MaxAffineFn,
+    B: ScoredSet,
+    condition: MidpointReport,
+    tol: ToleranceConfig,
+) -> SynthCertificate:
+    """synth_affine_from_scored_set with the midpoint report already made."""
+    delta, _ = min_over_scored_set(F, B)
+    if isinstance(B, FiniteScoredSet):
+        pts, sc = B.points, B.scores
+    else:
         pts, sc = B.polytope.vertices, B.vertex_scores()
     return _synth_pipeline(F, pts, sc, delta, condition, pts, sc, tol)
+
+
+def _synth_finite(F: MaxAffineFn, B: FiniteScoredSet, tol: ToleranceConfig) -> SynthCertificate:
+    """Scan a finite scored set once; raise if the condition fails, else
+    synthesize with that report."""
+    condition = check_scored_midpoint(F, B, tol.tol_mid)
+    if not condition.satisfied:
+        raise ConditionViolated(condition)
+    return _synth_scored(F, B, condition, tol)
 
 
 def support_at_point(F: MaxAffineFn, x) -> AffineMap:
@@ -388,25 +374,6 @@ def support_at_point(F: MaxAffineFn, x) -> AffineMap:
     x = as_vector(x, F.dim)
     g = subgradient_max_affine(F, x)
     return AffineMap(g, float(F(x) - g @ x))
-
-
-def _fallback_certificate(F: MaxAffineFn, x0: np.ndarray, reason: str,
-                          tol: ToleranceConfig) -> SynthCertificate:
-    A = support_at_point(F, x0)
-    fx = float(F(x0))
-    return SynthCertificate(
-        affine=A,
-        lifted=LiftedLinear(LinearMap(A.w), 1.0),
-        weights=np.zeros(F.npieces),
-        delta=float("-inf"),
-        lhs=float("-inf"),
-        rhs=float("-inf"),
-        gap=0.0,
-        t_star=float("nan"),
-        domination=_domination_report(F, A),
-        condition=_auto_report(),
-        fallback=reason,
-    )
 
 
 def synth_tight_minorant(
@@ -417,23 +384,12 @@ def synth_tight_minorant(
     """Affine A <= f with inf_Z A = inf_Z f.
 
     Finite Z must pass the midpoint-recession condition (score zero);
-    polytopes satisfy it automatically via literal midpoints.  An unbounded
-    scored infimum falls back to supporting the first point of Z.
+    polytopes satisfy it automatically via literal midpoints.
     """
     if isinstance(Z, Polytope):
-        B: ScoredSet = LiftedPolytope(Z, np.zeros(Z.dim), 0.0)
-        first = Z.vertices[0]
-    else:
-        pts = np.vstack([as_vector(z, F.dim) for z in Z])
-        B = FiniteScoredSet(pts, np.zeros(pts.shape[0]))
-        condition = check_scored_midpoint(F, B, tol.tol_mid)
-        if not condition.satisfied:
-            raise ConditionViolated(condition)
-        first = pts[0]
-    try:
-        return synth_affine_from_scored_set(F, B, tol)
-    except UnboundedBelow:
-        return _fallback_certificate(F, first, "unbounded-below", tol)
+        return synth_affine_from_scored_set(F, LiftedPolytope(Z, np.zeros(Z.dim), 0.0), tol)
+    pts = np.vstack([as_vector(z, F.dim) for z in Z])
+    return _synth_finite(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
 
 
 def _barycentric_grid(nparts: int, steps: int) -> np.ndarray:
@@ -505,8 +461,6 @@ def synth_composed_minorant(
             )
             z_star, _ = min_convex_over_polytope(composed, V)
             delta = float(composed(z_star))
-            if delta < _UNBOUNDED_SENTINEL:
-                return _fallback_certificate(F, j(V[0]), "unbounded-below", tol)
             return _synth_pipeline(F, pts, sc, delta, _auto_report(), pts, sc, tol)
         if isinstance(k, MaxAffineFn):
             if k.dim != Z.dim:
@@ -515,8 +469,6 @@ def synth_composed_minorant(
             pts = Zg @ j.matrix.T + j.offset
             sc = k.batch(Zg)
             delta = float(np.min(F.batch(pts) + sc))
-            if delta < _UNBOUNDED_SENTINEL:
-                return _fallback_certificate(F, pts[0], "unbounded-below", tol)
             return _synth_pipeline(
                 F, pts, sc, delta, _auto_report(), pts, sc, tol, approximate=True
             )
@@ -524,11 +476,4 @@ def synth_composed_minorant(
 
     j_table = np.asarray(j, dtype=np.float64).reshape(-1, F.dim)
     k_table = np.asarray(k, dtype=np.float64).reshape(-1)
-    B = FiniteScoredSet(j_table, k_table)
-    condition = check_scored_midpoint(F, B, tol.tol_mid)
-    if not condition.satisfied:
-        raise ConditionViolated(condition)
-    try:
-        return synth_affine_from_scored_set(F, B, tol)
-    except UnboundedBelow:
-        return _fallback_certificate(F, j_table[0], "unbounded-below", tol)
+    return _synth_finite(F, FiniteScoredSet(j_table, k_table), tol)

@@ -219,3 +219,37 @@ class TestVerifyAndGen:
         synth = doc("synth-affine", {"f": ABS_F, "b": gen})
         _, code = run_problem_text(synth)
         assert code == EXIT_OK
+
+
+class TestRegressions:
+    # A convex polytope satisfies the midpoint condition through its literal
+    # midpoints, even when its vertex list as a finite set does not.
+    HBL_POLYTOPE_DOC = doc("solve-hbl", {
+        "s": ABS_S, "vertices": [[0.0], [1.0]],
+        "j": {"matrix": [[1.0]], "offset": [0.0]}, "k": {"lin": [0.0], "off": 0.0},
+    })
+    # A scored infimum far below zero is still finite and exact.
+    LOW_SCORE_DOC = doc("synth-affine", {
+        "f": ABS_F, "b": {"points": [[0.0]], "scores": [-2e12]},
+    })
+
+    def _run(self, tmp_path, capsys, text, command):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = run_command([command, "--input", str(path)])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_hbl_polytope_form_satisfied(self, tmp_path, capsys):
+        code, rep = self._run(tmp_path, capsys, self.HBL_POLYTOPE_DOC, "solve-hbl")
+        assert code == EXIT_OK
+        cert = rep["certificate"]
+        assert cert["midpoint"]["status"] == "satisfied"
+        assert cert["midpoint"]["violation"] is None
+        assert cert["gap"] == 0.0
+
+    def test_low_score_synth_affine_is_finite(self, tmp_path, capsys):
+        code, rep = self._run(tmp_path, capsys, self.LOW_SCORE_DOC, "synth-affine")
+        assert code == EXIT_OK
+        cert = rep["certificate"]
+        assert cert["delta"] == -2e12 and cert["lhs"] == -2e12 and cert["gap"] == 0.0
+        assert cert["fallback"] is None

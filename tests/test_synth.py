@@ -8,7 +8,6 @@ from minorant.synth import (
     ConditionViolated,
     FiniteScoredSet,
     LiftedPolytope,
-    UnboundedBelow,
     build_gauge_support_lp,
     check_scored_midpoint,
     min_convex_over_polytope,
@@ -78,10 +77,17 @@ class TestMinOverScoredSet:
         assert d == pytest.approx(1.0)
         assert w == pytest.approx([1.0])
 
-    def test_sentinel_triggers_unbounded(self, abs_fn):
-        B = FiniteScoredSet(np.array([[1.0]]), np.array([-2e12]))
-        with pytest.raises(UnboundedBelow):
-            min_over_scored_set(abs_fn, B)
+    def test_large_negative_score_is_exact(self, abs_fn):
+        # A finite scored infimum stays finite however low it is: the value
+        # and the pipeline built on it are exact, with no fallback.
+        d, w = min_over_scored_set(
+            abs_fn, FiniteScoredSet(np.array([[1.0]]), np.array([-2e12])))
+        assert d == 1.0 - 2e12 and w == pytest.approx([1.0])
+        cert = synth_affine_from_scored_set(
+            abs_fn, FiniteScoredSet(np.array([[0.0]]), np.array([-2e12])))
+        assert cert.delta == -2e12 and cert.lhs == -2e12 and cert.gap == 0.0
+        assert cert.t_star >= 1.0 - 1e-8
+        assert cert.fallback is None and cert.condition.satisfied
 
 
 class TestScoredMidpoint:
@@ -183,13 +189,14 @@ class TestTightMinorant:
             synth_tight_minorant(abs_fn, [np.array([-1.0]), np.array([1.0])])
         assert ei.value.report.violation[0] == (0, 1)
 
-    def test_fallback_on_unbounded(self, abs_fn):
+    def test_large_negative_payload_is_exact(self, abs_fn):
         cert = synth_composed_minorant(
             abs_fn, np.array([[2.0]]), np.array([-2e12]), None)
-        assert cert.fallback == "unbounded-below"
+        assert cert.fallback is None
+        assert cert.delta == 2.0 - 2e12 and cert.lhs == cert.delta and cert.gap == 0.0
         A = cert.affine
         x0 = np.array([2.0])
-        assert A(x0) == pytest.approx(abs_fn(x0))
+        assert A(x0) == abs_fn(x0) == 2.0
         rng = np.random.default_rng(1)
         for _ in range(200):
             y = rng.uniform(-9, 9, 1)
@@ -253,3 +260,44 @@ class TestComposedMinorant:
         with pytest.raises(ConditionViolated):
             synth_composed_minorant(
                 abs_fn, np.array([[-1.0], [1.0]]), np.zeros(2), None)
+
+
+class TestSingleScan:
+    """Each finite scored set is scanned for the midpoint condition once."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        import minorant.synth as synth
+
+        calls = []
+        real = synth.check_scored_midpoint
+
+        def counting(F, B, tol):
+            calls.append(B.size)
+            return real(F, B, tol)
+
+        monkeypatch.setattr(synth, "check_scored_midpoint", counting)
+        return calls
+
+    def test_tight_finite(self, relu_fn, scans):
+        cert = synth_tight_minorant(relu_fn, [np.array([0.0]), np.array([1.0])])
+        assert scans == [2] and cert.condition.satisfied
+
+    def test_composed_finite(self, abs_fn, scans):
+        cert = synth_composed_minorant(
+            abs_fn, np.array([[1.0], [2.0], [3.0]]), np.array([0.0, -1.0, -2.0]), None)
+        assert scans == [3] and cert.condition.satisfied
+
+    def test_violation_scans_once(self, abs_fn, scans):
+        with pytest.raises(ConditionViolated):
+            synth_tight_minorant(abs_fn, [np.array([-1.0]), np.array([1.0])])
+        assert scans == [2]
+
+    def test_affine_from_scored_set(self, abs_fn, scans):
+        synth_affine_from_scored_set(
+            abs_fn, FiniteScoredSet(np.array([[1.0], [2.0]]), np.zeros(2)))
+        assert scans == [2]
+
+    def test_polytope_scans_nothing(self, abs_fn, scans):
+        synth_tight_minorant(abs_fn, Polytope(np.array([[1.0], [3.0]])))
+        assert scans == []
