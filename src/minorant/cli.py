@@ -5,8 +5,9 @@ Exit codes are part of the contract:
 * 0 — success, certificate within tolerances
 * 1 — a hypothesis (midpoint / recession condition) is violated; the
       witness is in the report
-* 2 — numerical failure (degenerate multiplier, bracket failure, LP
-      anomaly, approximate result without --approximate-ok, failed verify)
+* 2 — numerical failure (certificate outside the document's tolerances,
+      degenerate multiplier, bracket failure, LP anomaly, approximate
+      result without --approximate-ok, failed verify)
 * 3 — parse or schema error
 
 A report is always written once parsing succeeded.  Floats are serialized
@@ -427,6 +428,13 @@ def _synth_json(cert: SynthCertificate) -> dict:
 # Dispatch
 
 
+def _exit_code(hypothesis: MidpointReport, cert, tol: ToleranceConfig) -> int:
+    """0 only when the hypothesis holds and the certificate is within `tol`."""
+    if not hypothesis.satisfied:
+        return EXIT_HYPOTHESIS
+    return EXIT_OK if cert.within(tol) else EXIT_NUMERICAL
+
+
 def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
     """Run the solver for a validated problem; returns (certificate, exit code)."""
     p = problem.payload
@@ -441,8 +449,7 @@ def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
     if kind == "solve-mok":
         S = _parse_sublinear(p["s"], "s")
         cert = solve_mok(S, [np.asarray(r, dtype=np.float64) for r in p["d"]], tol)
-        code = EXIT_OK if cert.midpoint.satisfied else EXIT_HYPOTHESIS
-        return _mok_json(cert), code
+        return _mok_json(cert), _exit_code(cert.midpoint, cert, tol)
 
     if kind == "synth-affine":
         F = _parse_max_affine(p["f"], "f")
@@ -453,8 +460,7 @@ def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
             B = LiftedPolytope(Polytope(np.asarray(b["vertices"])),
                                np.asarray(b["score_lin"]), b["score_off"])
         cert = synth_affine_from_scored_set(F, B, tol)
-        code = EXIT_OK if cert.condition.satisfied else EXIT_HYPOTHESIS
-        return _synth_json(cert), code
+        return _synth_json(cert), _exit_code(cert.condition, cert, tol)
 
     if kind == "synth-sun":
         F = _parse_max_affine(p["f"], "f")
@@ -464,7 +470,7 @@ def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
         else:
             Z = Polytope(np.asarray(z["vertices"]))
         cert = synth_tight_minorant(F, Z, tol)
-        return _synth_json(cert), EXIT_OK
+        return _synth_json(cert), _exit_code(cert.condition, cert, tol)
 
     if kind == "synth-cahbl":
         F = _parse_max_affine(p["f"], "f")
@@ -482,7 +488,7 @@ def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
         if cert.approximate and not approximate_ok:
             return (_synth_json(cert) | {"error": "approximate-not-allowed"},
                     EXIT_NUMERICAL)
-        return _synth_json(cert), EXIT_OK
+        return _synth_json(cert), _exit_code(cert.condition, cert, tol)
 
     if kind == "solve-hbl":
         approximate = False
@@ -520,8 +526,7 @@ def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
         }
         if approximate and not approximate_ok:
             return body | {"error": "approximate-not-allowed"}, EXIT_NUMERICAL
-        code = EXIT_OK if cert.midpoint.satisfied else EXIT_HYPOTHESIS
-        return body, code
+        return body, _exit_code(cert.midpoint, cert, tol)
 
     if kind == "verify":
         trials = {k: int(v) for k, v in p.get("trials", {}).items()}

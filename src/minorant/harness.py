@@ -5,9 +5,9 @@ The oracles deliberately use different algorithms from the code they check
 (grid scan instead of bisection or closed forms, barycentric sampling
 instead of LPs) and share no numerical kernels with it.
 
-The generator PRNG is a 64-bit splitmix-style mixer with the usual
-published constants, so instances are reproducible bit-exactly across
-platforms from (kind, dims, seed) alone.
+The generator PRNG is :class:`minorant.rng.SplitMix64`, re-exported here,
+so instances are reproducible bit-exactly across platforms from
+(kind, dims, seed) alone.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
 from .gauge import Branch, eval_gauge, eval_gauge_batch, shift, sublinearity_suite
 from .hbl import HblInstance, solve_hbl_jk, solve_hbl_n
 from .mok import check_midpoint, solve_mok
+from .rng import SplitMix64
 from .synth import (
     FiniteScoredSet,
     LiftedPolytope,
@@ -53,45 +54,11 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-_MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
 COEFF_RANGE = 2.0  # generated coefficients are uniform in [-2, 2]
 
 
 class ScanExhausted(RuntimeError):
     """The oracle's dyadic sweep reached 2^40 without sign information."""
-
-
-class SplitMix64:
-    """Splitmix-style 64-bit mixer; deterministic and platform independent."""
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * u
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive (modulo bias is irrelevant
-        at the tiny ranges used here)."""
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def uniform_vector(self, n: int, lo: float, hi: float) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
-
-    def uniform_matrix(self, n: int, m: int, lo: float, hi: float) -> np.ndarray:
-        return self.uniform_vector(n * m, lo, hi).reshape(n, m)
 
 
 def gen_instance(kind: str, dims: Dict[str, int], seed: int):
@@ -402,7 +369,7 @@ def _suite_mok(cfg: SuiteConfig, n: int) -> SuiteResult:
         cert = solve_mok(S, D, cfg.tol)
         checked += 1
         worst = max(worst, abs(cert.gap))
-        if not cert.midpoint.satisfied or abs(cert.gap) > cfg.tol.tol_lp:
+        if not cert.midpoint.satisfied or not cert.within(cfg.tol):
             failed += 1
         # Random (usually violated) instance: weak duality only.
         rng = SplitMix64(cfg.seed ^ (9000 + t))
@@ -439,14 +406,8 @@ def _suite_synth(cfg: SuiteConfig, n: int) -> SuiteResult:
                                             p=2 + t % cfg.max_pieces)
             cert = synth_tight_minorant(F, Z, cfg.tol)
         checked += 1
-        bad = (
-            abs(cert.gap) > cfg.tol.tol_gap
-            or cert.t_star < 1.0 - cfg.tol.tol_lp
-            or cert.lifted.lam <= cfg.tol.lambda_min
-            or cert.domination.worst_deficit < -cfg.tol.tol_dom
-        )
         worst = max(worst, abs(cert.gap), -cert.domination.worst_deficit)
-        if bad:
+        if not cert.within(cfg.tol):
             failed += 1
     return SuiteResult("synth", failed == 0, checked, failed, worst,
                        "tight minorant pipelines on passing instances", 0.0)

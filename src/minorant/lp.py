@@ -41,10 +41,11 @@ class LpSolution:
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * piv
+    # Rows with a zero in the pivot column are left alone, so no signed
+    # zero can flip; every other row gets T[r] - T[r, col] * T[row].
+    rows = T[:, col] != 0.0
+    rows[row] = False
+    T[rows] -= np.outer(T[rows, col], T[row])
     basis[row] = col
 
 
@@ -55,36 +56,45 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 
     Returns "optimal" or "unbounded".  T and basis are updated in place.
     """
-    m, ncols = T.shape
-    n = ncols - 1
+    n = T.shape[1] - 1
     for _ in range(_MAX_ITER):
         # Reduced costs: z_j - c_j computed by pricing the basis.
         y = cost[basis]                    # basic objective coefficients
         reduced = y @ T[:, :n] - cost[:n]
-        enter = -1
-        for j in range(n):
-            if allowed[j] and reduced[j] < -_PIVOT_TOL:
-                enter = j
-                break                       # Bland: lowest eligible index
-        if enter < 0:
+        eligible = np.flatnonzero(allowed & (reduced < -_PIVOT_TOL))
+        if eligible.size == 0:
             return "optimal"
+        enter = int(eligible[0])            # Bland: lowest eligible index
         # Ratio test with Bland tie-break on the leaving basic variable index.
+        # The tie-break is sequential (a tolerance band, not an argmin).
+        rows = np.flatnonzero(T[:, enter] > _PIVOT_TOL)
+        ratios = T[rows, -1] / T[rows, enter]
         leave = -1
         best_ratio = np.inf
-        for r in range(m):
-            a = T[r, enter]
-            if a > _PIVOT_TOL:
-                ratio = T[r, -1] / a
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leave < 0 or basis[r] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = r
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best_ratio - _PIVOT_TOL or (
+                abs(ratio - best_ratio) <= _PIVOT_TOL
+                and (leave < 0 or basis[r] < basis[leave])
+            ):
+                best_ratio = ratio
+                leave = r
         if leave < 0:
             return "unbounded"
         _pivot(T, basis, leave, enter)
     raise LpError("simplex iteration cap exceeded")
+
+
+def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, art_mask: np.ndarray,
+                           n_real: int) -> None:
+    """After phase 1, pivot each artificial still in the basis onto the first
+    of the `n_real` non-artificial columns with a nonzero entry in its row.
+    A row with none is redundant; its artificial stays basic at ~0 and is
+    kept blocked in phase 2."""
+    for r in range(T.shape[0]):
+        if art_mask[basis[r]]:
+            nonzero = np.flatnonzero(np.abs(T[r, :n_real]) > _PIVOT_TOL)
+            if nonzero.size:
+                _pivot(T, basis, r, int(nonzero[0]))
 
 
 def solve_lp(
@@ -166,15 +176,7 @@ def solve_lp(
         obj1 = float(cost1[basis] @ T[:, -1])
         if obj1 < -_FEAS_TOL:
             return LpSolution("infeasible", None, None)
-        # Pivot residual artificials out of the basis where possible.
-        for r in range(m):
-            if art_mask[basis[r]]:
-                for j in range(n + n_slack):
-                    if abs(T[r, j]) > _PIVOT_TOL:
-                        _pivot(T, basis, r, j)
-                        break
-        # Any row still basic in an artificial is redundant; freeze it by
-        # keeping the artificial blocked in phase 2 (its value is ~0).
+        _drive_out_artificials(T, basis, art_mask, n + n_slack)
 
     cost2 = np.zeros(ncols + 1)
     cost2[:n] = c

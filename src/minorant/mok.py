@@ -42,9 +42,13 @@ class MokCertificate:
     gap: float          # target - value, >= -tol_lp always
     midpoint: MidpointReport
 
+    def within(self, tol: ToleranceConfig) -> bool:
+        """The two infima agree within `tol.tol_lp`."""
+        return abs(self.gap) <= tol.tol_lp
+
     @property
     def guarantee_holds(self) -> bool:
-        return not self.midpoint.satisfied or abs(self.gap) <= DEFAULT_TOL.tol_lp
+        return not self.midpoint.satisfied or self.within(DEFAULT_TOL)
 
 
 def _as_point_rows(D: List, dim: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from .core import (
 )
 from .gauge import shift
 from .lp import LpError, solve_lp
+from .rng import SplitMix64
 from .scan import MidpointReport, midpoint_scan
 
 __all__ = [
@@ -165,6 +166,17 @@ class SynthCertificate:
     approximate: bool = False
     fallback: Optional[str] = None   # always None; kept in the report format
 
+    def within(self, tol: ToleranceConfig) -> bool:
+        """The two scored infima agree, the LP level reached 1, the
+        multiplier is positive and no sampled point has A above f, each
+        within `tol`."""
+        return (
+            abs(self.gap) <= tol.tol_gap
+            and self.t_star >= 1.0 - tol.tol_lp
+            and self.lifted.lam > tol.lambda_min
+            and self.domination.worst_deficit >= -tol.tol_dom
+        )
+
 
 @dataclass(frozen=True)
 class SupportSystem:
@@ -257,8 +269,6 @@ def min_over_scored_set(F: MaxAffineFn, B: ScoredSet) -> Tuple[float, np.ndarray
 
 def _domination_report(F: MaxAffineFn, A: AffineMap, seed: int = 20240817) -> DominationReport:
     """Sampled defense check of A <= f on a fixed box."""
-    from .harness import SplitMix64  # local import: harness depends on synth types
-
     rng = SplitMix64(seed)
     X = rng.uniform_matrix(DOMINATION_SAMPLES, F.dim, -DOMINATION_BOX, DOMINATION_BOX)
     deficits = F.batch(X) - A.batch(X)

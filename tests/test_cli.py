@@ -253,3 +253,82 @@ class TestRegressions:
         cert = rep["certificate"]
         assert cert["delta"] == -2e12 and cert["lhs"] == -2e12 and cert["gap"] == 0.0
         assert cert["fallback"] is None
+
+
+class TestToleranceExitCodes:
+    """Exit 0 means the certificate is within the document's tolerances; a
+    certificate outside them exits 2 even when the hypothesis holds."""
+
+    # Its synthesized minorant misses the infimum by about 1.7e-16.
+    SUN_GAP_DOC = doc("synth-sun", {
+        "f": {"pieces": [{"a": [0.1, 1.0], "b": 0.1}, {"a": [-1.0, 0.1], "b": 0.1},
+                         {"a": [0.5, -0.5], "b": 0.0}]},
+        "z": {"vertices": [[0.1, 0.2], [0.7, -0.3], [-0.4, 0.9]]},
+    })
+
+    def _run(self, tmp_path, capsys, text, command, *flags):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = run_command([command, "--input", str(path), *flags])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_synth_gap_within_default_tolerance(self, tmp_path, capsys):
+        code, rep = self._run(tmp_path, capsys, self.SUN_GAP_DOC, "synth-sun")
+        gap = rep["certificate"]["gap"]
+        assert 0.0 < abs(gap) < 1e-15
+        assert code == EXIT_OK and rep["status"] == "ok"
+
+    def test_tol_gap_flag_below_gap_exits_numerical(self, tmp_path, capsys):
+        code, rep = self._run(tmp_path, capsys, self.SUN_GAP_DOC, "synth-sun",
+                              "--tol-gap", "1e-16")
+        assert code == EXIT_NUMERICAL and rep["status"] == "numerical-failure"
+        assert abs(rep["certificate"]["gap"]) > 1e-16
+        code, _ = self._run(tmp_path, capsys, self.SUN_GAP_DOC, "synth-sun",
+                            "--tol-gap", "1e-15")
+        assert code == EXIT_OK
+
+    def test_document_tolerances_are_read(self, tmp_path, capsys):
+        payload = json.loads(self.SUN_GAP_DOC)["payload"]
+        for tols in ({"tol_gap": 1e-16}, {"tol_lp": 1e-17}):
+            text = doc("synth-sun", payload, tolerances=tols)
+            code, rep = self._run(tmp_path, capsys, text, "synth-sun")
+            assert code == EXIT_NUMERICAL, tols
+            assert rep["status"] == "numerical-failure"
+
+    def test_zero_gap_passes_any_tol_gap(self, tmp_path, capsys):
+        code, rep = self._run(tmp_path, capsys, SUN_DOC, "synth-sun",
+                              "--tol-gap", "1e-300")
+        assert rep["certificate"]["gap"] == 0.0
+        assert code == EXIT_OK
+
+    def test_mok_gap_against_tol_lp(self, tmp_path, capsys):
+        from minorant.harness import gen_mok_satisfied
+
+        S, D = gen_mok_satisfied(0)
+        payload = {"s": {"pieces": S.pieces.tolist()}, "d": [d.tolist() for d in D]}
+        code, rep = self._run(tmp_path, capsys, doc("solve-mok", payload), "solve-mok")
+        gap = rep["certificate"]["gap"]
+        assert code == EXIT_OK and gap != 0.0
+        text = doc("solve-mok", payload, tolerances={"tol_lp": abs(gap) / 2})
+        code, rep = self._run(tmp_path, capsys, text, "solve-mok")
+        assert code == EXIT_NUMERICAL and rep["status"] == "numerical-failure"
+
+    def test_hbl_gap_against_tol_lp(self, tmp_path, capsys):
+        from minorant.harness import gen_instance
+
+        def payload(seed):
+            H = gen_instance("hbl", {"n": 2, "d": 2, "p": 3, "nz": 3}, seed)
+            return {"sublinears": [{"pieces": S.pieces.tolist()} for S in H.sublinears],
+                    "tables": [t.tolist() for t in H.tables]}
+
+        code, rep = self._run(tmp_path, capsys, doc("solve-hbl", payload(3)), "solve-hbl")
+        gap = rep["certificate"]["gap"]
+        assert code == EXIT_OK and gap != 0.0
+        tight = {"tol_lp": abs(gap) / 2}
+        code, _ = self._run(tmp_path, capsys, doc("solve-hbl", payload(3), tolerances=tight),
+                            "solve-hbl")
+        assert code == EXIT_NUMERICAL
+        # A violated hypothesis is reported as such, whatever the tolerances.
+        code, _ = self._run(tmp_path, capsys, doc("solve-hbl", payload(1), tolerances=tight),
+                            "solve-hbl")
+        assert code == EXIT_HYPOTHESIS

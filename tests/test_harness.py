@@ -38,6 +38,56 @@ class TestSplitMix64:
         a, b = SplitMix64(123), SplitMix64(123)
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
 
+    # The vector draws are one numpy uint64 pass; the reference is the
+    # scalar `uniform`, built from `next_u64` one Python int at a time.
+    @staticmethod
+    def _scalar(rng, n, lo, hi):
+        return np.array([rng.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 7, 30_000])
+    def test_vector_draws_match_scalar_stream(self, seed, n):
+        vec, ref = SplitMix64(seed), SplitMix64(seed)
+        got = vec.uniform_vector(n, -10.0, 10.0)
+        want = self._scalar(ref, n, -10.0, 10.0)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert vec._state == ref._state
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, 12345678901234567])
+    def test_interleaved_scalar_and_vector_calls(self, seed):
+        vec, ref = SplitMix64(seed), SplitMix64(seed)
+        got, want = [], []
+        for n, m in [(0, 4), (1, 1), (5, 7), (1000, 3)]:
+            got.append(vec.uniform_matrix(n, m, -2.0, 2.0).tobytes())
+            want.append(self._scalar(ref, n * m, -2.0, 2.0).reshape(n, m).tobytes())
+            assert vec.next_u64() == ref.next_u64()
+            assert vec.uniform(-1.0, 3.0) == ref.uniform(-1.0, 3.0)
+            assert vec.randint(1, 6) == ref.randint(1, 6)
+        assert got == want
+        assert vec._state == ref._state
+
+    def test_domination_sample_matches_scalar_reference(self):
+        from minorant.core import AffineMap
+        from minorant.synth import DOMINATION_BOX, DOMINATION_SAMPLES, _domination_report
+
+        F = gen_instance("max_affine", {"d": 3, "p": 5}, 17)
+        A = AffineMap(np.array([0.25, -0.5, 0.125]), -3.0)
+        seed = 20240817
+        X = self._scalar(SplitMix64(seed), DOMINATION_SAMPLES * F.dim,
+                         -DOMINATION_BOX, DOMINATION_BOX).reshape(-1, F.dim)
+        deficits = F.batch(X) - A.batch(X)
+        i = int(np.argmin(deficits))
+        rep = _domination_report(F, A, seed)
+        assert np.float64(rep.worst_deficit).tobytes() == deficits[i].tobytes()
+        assert rep.witness.tobytes() == X[i].tobytes()
+        assert (rep.samples, rep.seed) == (DOMINATION_SAMPLES, seed)
+
+    def test_harness_reexports_the_rng_class(self):
+        import minorant.rng
+
+        assert SplitMix64 is minorant.rng.SplitMix64
+
 
 class TestGenerators:
     def test_gen_instance_deterministic(self):
