@@ -332,3 +332,414 @@ class TestToleranceExitCodes:
         code, _ = self._run(tmp_path, capsys, doc("solve-hbl", payload(1), tolerances=tight),
                             "solve-hbl")
         assert code == EXIT_HYPOTHESIS
+
+
+def _malformed(kind, payload, **extra):
+    return doc(kind, payload, **extra)
+
+
+F1 = {"pieces": [{"a": [1.0], "b": 0.0}]}
+J1 = {"matrix": [[1.0]], "offset": [0.0]}
+K1 = {"lin": [0.0], "off": 0.0}
+HBL_SUB = {"sublinears": [ABS_S, ABS_S], "tables": [[[0.0], [1.0]], [[1.0], [0.0]]]}
+
+# One malformed document per place the schema raises, with the full message.
+SCHEMA_CASES = [
+    ("json", "{nope",
+     "$: invalid JSON (Expecting property name enclosed in double quotes at line 1)"),
+    ("root-not-object", "[]", "$: expected an object"),
+    ("root-unknown", json.dumps({"version": 1, "kind": "gen", "payload": {}, "x": 1}),
+     "$.x: unknown field"),
+    ("root-unknown-before-missing", json.dumps({"x": 1}), "$.x: unknown field"),
+    ("root-missing", json.dumps({"version": 1, "kind": "gen"}),
+     "$.payload: missing required field"),
+    ("version", json.dumps({"version": 2, "kind": "gen", "payload": {}}),
+     "$.version: unsupported version (expected 1)"),
+    ("kind", json.dumps({"version": 1, "kind": "nope", "payload": {}}),
+     "$.kind: unknown problem kind 'nope'"),
+    ("tolerances-object", _malformed("gen", {}, tolerances=[]),
+     "$.tolerances: expected an object"),
+    ("tolerances-unknown", _malformed("gen", {}, tolerances={"tol_nope": 1.0}),
+     "$.tolerances.tol_nope: unknown field"),
+    ("tolerance-number", _malformed("gen", {}, tolerances={"tol_gap": "1"}),
+     "$.tolerances.tol_gap: expected a number"),
+    ("tolerance-bool", _malformed("gen", {}, tolerances={"tol_lp": True}),
+     "$.tolerances.tol_lp: expected a number"),
+    ("tolerance-finite", GAUGE_DOC.replace("}}", '}, "tolerances": {"tol_gauge": NaN}}'),
+     "$.tolerances.tol_gauge: number must be finite"),
+    ("seed-integer", _malformed("gen", {}, seed=1.5), "$.seed: expected an integer"),
+    ("seed-bool", _malformed("gen", {}, seed=True), "$.seed: expected an integer"),
+    ("payload-object", json.dumps({"version": 1, "kind": "gen", "payload": []}),
+     "$.payload: expected an object"),
+    # eval-gauge, and the max-affine parser through its f
+    ("gauge-unknown", _malformed("eval-gauge", {"f": F1, "x": [1.0], "alpha": 1.0, "y": 0}),
+     "$.payload.y: unknown field"),
+    ("gauge-missing", _malformed("eval-gauge", {"f": F1, "x": [1.0]}),
+     "$.payload.alpha: missing required field"),
+    ("f-object", _malformed("eval-gauge", {"f": [], "x": [1.0], "alpha": 1.0}),
+     "$.payload.f: expected an object"),
+    ("f-missing-pieces", _malformed("eval-gauge", {"f": {}, "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces: missing required field"),
+    ("f-pieces-empty", _malformed("eval-gauge", {"f": {"pieces": []}, "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces: expected a nonempty array"),
+    ("f-piece-object", _malformed("eval-gauge", {"f": {"pieces": [1]}, "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[0]: expected an object"),
+    ("f-piece-unknown", _malformed("eval-gauge", {"f": {"pieces": [{"a": [1.0], "b": 0.0, "c": 0}]},
+                                                  "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[0].c: unknown field"),
+    ("f-piece-missing", _malformed("eval-gauge", {"f": {"pieces": [{"a": [1.0]}]},
+                                                  "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[0].b: missing required field"),
+    ("f-slope-array", _malformed("eval-gauge", {"f": {"pieces": [{"a": 1.0, "b": 0.0}]},
+                                                "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[0].a: expected a nonempty array of numbers"),
+    ("f-slope-empty", _malformed("eval-gauge", {"f": {"pieces": [{"a": [], "b": 0.0}]},
+                                                "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[0].a: expected a nonempty array of numbers"),
+    ("f-slope-length", _malformed("eval-gauge", {"f": {"pieces": [{"a": [1.0], "b": 0.0},
+                                                                  {"a": [1.0, 2.0], "b": 0.0}]},
+                                                 "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[1].a: expected length 1, got 2"),
+    ("f-slope-number", _malformed("eval-gauge", {"f": {"pieces": [{"a": ["1"], "b": 0.0}]},
+                                                 "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[0].a[0]: expected a number"),
+    ("f-offset-number", _malformed("eval-gauge", {"f": {"pieces": [{"a": [1.0], "b": None}]},
+                                                  "x": [1.0], "alpha": 1.0}),
+     "$.payload.f.pieces[0].b: expected a number"),
+    ("gauge-x-length", _malformed("eval-gauge", {"f": F1, "x": [1.0, 2.0], "alpha": 1.0}),
+     "$.payload.x: expected length 1, got 2"),
+    ("gauge-alpha", _malformed("eval-gauge", {"f": F1, "x": [1.0], "alpha": "1"}),
+     "$.payload.alpha: expected a number"),
+    # solve-mok, and the sublinear parser through its s
+    ("s-object", _malformed("solve-mok", {"s": 1, "d": [[1.0]]}), "$.payload.s: expected an object"),
+    ("s-missing", _malformed("solve-mok", {"s": {}, "d": [[1.0]]}),
+     "$.payload.s.pieces: missing required field"),
+    ("s-rows", _malformed("solve-mok", {"s": {"pieces": []}, "d": [[1.0]]}),
+     "$.payload.s.pieces: expected a nonempty array of rows"),
+    ("s-row-length", _malformed("solve-mok", {"s": {"pieces": [[1.0], [1.0, 2.0]]}, "d": [[1.0]]}),
+     "$.payload.s.pieces[1]: expected length 1, got 2"),
+    ("mok-d-rows", _malformed("solve-mok", {"s": ABS_S, "d": {}}),
+     "$.payload.d: expected a nonempty array of rows"),
+    ("mok-d-length", _malformed("solve-mok", {"s": ABS_S, "d": [[1.0, 2.0]]}),
+     "$.payload.d[0]: expected length 1, got 2"),
+    # synth-affine
+    ("affine-b-object", _malformed("synth-affine", {"f": F1, "b": []}),
+     "$.payload.b: expected an object"),
+    ("affine-points-missing", _malformed("synth-affine", {"f": F1, "b": {"points": [[1.0]]}}),
+     "$.payload.b.scores: missing required field"),
+    ("affine-points-length", _malformed("synth-affine", {"f": F1, "b": {"points": [[1.0, 2.0]],
+                                                                        "scores": [0.0]}}),
+     "$.payload.b.points[0]: expected length 1, got 2"),
+    ("affine-scores-length", _malformed("synth-affine", {"f": F1, "b": {"points": [[1.0]],
+                                                                        "scores": [0.0, 1.0]}}),
+     "$.payload.b.scores: expected length 1, got 2"),
+    ("affine-polytope-missing", _malformed("synth-affine", {"f": F1, "b": {}}),
+     "$.payload.b.vertices: missing required field"),
+    ("affine-polytope-unknown", _malformed("synth-affine", {"f": F1, "b": {
+        "vertices": [[1.0]], "score_lin": [0.0], "score_off": 0.0, "scores": [0.0]}}),
+     "$.payload.b.scores: unknown field"),
+    ("affine-score-lin", _malformed("synth-affine", {"f": F1, "b": {
+        "vertices": [[1.0]], "score_lin": [0.0, 1.0], "score_off": 0.0}}),
+     "$.payload.b.score_lin: expected length 1, got 2"),
+    ("affine-score-off", _malformed("synth-affine", {"f": F1, "b": {
+        "vertices": [[1.0]], "score_lin": [0.0], "score_off": False}}),
+     "$.payload.b.score_off: expected a number"),
+    # synth-sun
+    ("sun-z-object", _malformed("synth-sun", {"f": F1, "z": "z"}), "$.payload.z: expected an object"),
+    ("sun-points-unknown", _malformed("synth-sun", {"f": F1, "z": {"points": [[1.0]], "k": 1}}),
+     "$.payload.z.k: unknown field"),
+    ("sun-points-length", _malformed("synth-sun", {"f": F1, "z": {"points": [[1.0, 2.0]]}}),
+     "$.payload.z.points[0]: expected length 1, got 2"),
+    ("sun-vertices-missing", _malformed("synth-sun", {"f": F1, "z": {}}),
+     "$.payload.z.vertices: missing required field"),
+    ("sun-vertices-length", _malformed("synth-sun", {"f": F1, "z": {"vertices": [[1.0], [2.0, 3.0]]}}),
+     "$.payload.z.vertices[1]: expected length 1, got 2"),
+    # synth-cahbl
+    ("cahbl-z-object", _malformed("synth-cahbl", {"f": F1, "z": None}),
+     "$.payload.z: expected an object"),
+    ("cahbl-finite-unknown", _malformed("synth-cahbl", {"f": F1, "z": {"j": [[1.0]], "k": [0.0],
+                                                                       "vertices": [[1.0]]}}),
+     "$.payload.z.vertices: unknown field"),
+    ("cahbl-finite-j-length", _malformed("synth-cahbl", {"f": F1, "z": {"j": [[1.0, 2.0]], "k": [0.0]}}),
+     "$.payload.z.j[0]: expected length 1, got 2"),
+    ("cahbl-finite-k-length", _malformed("synth-cahbl", {"f": F1, "z": {"j": [[1.0]], "k": [0.0, 1.0]}}),
+     "$.payload.z.k: expected length 1, got 2"),
+    ("cahbl-polytope-missing", _malformed("synth-cahbl", {"f": F1, "z": {"j": J1, "k": K1}}),
+     "$.payload.z.vertices: missing required field"),
+    ("cahbl-vertices-rows", _malformed("synth-cahbl", {"f": F1, "z": {"vertices": [], "j": J1, "k": K1}}),
+     "$.payload.z.vertices: expected a nonempty array of rows"),
+    ("cahbl-j-object", _malformed("synth-cahbl", {"f": F1, "z": {"vertices": [[0.0]], "j": "j", "k": K1}}),
+     "$.payload.z.j: expected an object"),
+    ("cahbl-j-missing", _malformed("synth-cahbl", {"f": F1, "z": {"vertices": [[0.0]],
+                                                                  "j": {"matrix": [[1.0]]}, "k": K1}}),
+     "$.payload.z.j.offset: missing required field"),
+    ("cahbl-j-matrix-cols", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": {"matrix": [[1.0, 2.0]], "offset": [0.0]}, "k": K1}}),
+     "$.payload.z.j.matrix[0]: expected length 1, got 2"),
+    ("cahbl-j-matrix-rows", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": {"matrix": [[1.0], [2.0]], "offset": [0.0]}, "k": K1}}),
+     "$.payload.z.j.matrix: expected 1 rows"),
+    ("cahbl-j-offset", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": {"matrix": [[1.0]], "offset": [0.0, 1.0]}, "k": K1}}),
+     "$.payload.z.j.offset: expected length 1, got 2"),
+    ("cahbl-k-object", _malformed("synth-cahbl", {"f": F1, "z": {"vertices": [[0.0]], "j": J1, "k": []}}),
+     "$.payload.z.k: expected an object"),
+    ("cahbl-k-unknown", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": J1, "k": {"pieces": F1["pieces"], "off": 0.0}}}),
+     "$.payload.z.k.off: unknown field"),
+    ("cahbl-k-pieces", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": J1, "k": {"pieces": []}}}),
+     "$.payload.z.k.pieces: expected a nonempty array"),
+    ("cahbl-k-piece", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": J1, "k": {"pieces": [{"a": [1.0]}]}}}),
+     "$.payload.z.k.pieces[0].b: missing required field"),
+    ("cahbl-k-slope-length", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": J1, "k": {"pieces": [{"a": [1.0, 2.0], "b": 0.0}]}}}),
+     "$.payload.z.k.pieces: expected slope length 1"),
+    ("cahbl-k-affine-missing", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": J1, "k": {"lin": [0.0]}}}),
+     "$.payload.z.k.off: missing required field"),
+    ("cahbl-k-lin", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": J1, "k": {"lin": [0.0, 1.0], "off": 0.0}}}),
+     "$.payload.z.k.lin: expected length 1, got 2"),
+    ("cahbl-k-off", _malformed("synth-cahbl", {"f": F1, "z": {
+        "vertices": [[0.0]], "j": J1, "k": {"lin": [0.0], "off": [0.0]}}}),
+     "$.payload.z.k.off: expected a number"),
+    # solve-hbl, product form
+    ("hbl-form", _malformed("solve-hbl", {"tables": []}),
+     "$.payload: expected either 'sublinears' or 's'"),
+    ("hbl-unknown", _malformed("solve-hbl", dict(HBL_SUB, s=ABS_S)), "$.payload.s: unknown field"),
+    ("hbl-missing", _malformed("solve-hbl", {"sublinears": [ABS_S]}),
+     "$.payload.tables: missing required field"),
+    ("hbl-sublinears", _malformed("solve-hbl", {"sublinears": [], "tables": []}),
+     "$.payload.sublinears: expected a nonempty array"),
+    ("hbl-tables", _malformed("solve-hbl", {"sublinears": [ABS_S], "tables": {}}),
+     "$.payload.tables: expected one table per sublinear"),
+    ("hbl-tables-count", _malformed("solve-hbl", {"sublinears": [ABS_S], "tables": [[[0.0]], [[0.0]]]}),
+     "$.payload.tables: expected one table per sublinear"),
+    ("hbl-sublinear", _malformed("solve-hbl", {"sublinears": [{"pieces": [[1.0]], "x": 0}],
+                                               "tables": [[[0.0]]]}),
+     "$.payload.sublinears[0].x: unknown field"),
+    ("hbl-table-length", _malformed("solve-hbl", {"sublinears": [ABS_S], "tables": [[[0.0, 1.0]]]}),
+     "$.payload.tables[0][0]: expected length 1, got 2"),
+    ("hbl-key-sets", _malformed("solve-hbl", {"sublinears": [ABS_S, ABS_S],
+                                              "tables": [[[0.0], [1.0]], [[0.0]]]}),
+     "$.payload.tables[1]: key-set size mismatch"),
+    ("hbl-payload", _malformed("solve-hbl", dict(HBL_SUB, payload=[0.0])),
+     "$.payload.payload: expected length 2, got 1"),
+    # solve-hbl, scalar-payload forms
+    ("hbl-s-unknown", _malformed("solve-hbl", {"s": ABS_S, "j": [[0.0]], "k": [0.0], "x": 0}),
+     "$.payload.x: unknown field"),
+    ("hbl-s-j-length", _malformed("solve-hbl", {"s": ABS_S, "j": [[0.0, 1.0]], "k": [0.0]}),
+     "$.payload.j[0]: expected length 1, got 2"),
+    ("hbl-s-k-length", _malformed("solve-hbl", {"s": ABS_S, "j": [[0.0], [1.0]], "k": [0.0]}),
+     "$.payload.k: expected length 2, got 1"),
+    ("hbl-polytope-missing", _malformed("solve-hbl", {"s": ABS_S, "vertices": [[0.0]], "j": J1}),
+     "$.payload.k: missing required field"),
+    ("hbl-polytope-vertices", _malformed("solve-hbl", {"s": ABS_S, "vertices": [[]], "j": J1, "k": K1}),
+     "$.payload.vertices[0]: expected a nonempty array of numbers"),
+    ("hbl-polytope-j-object", _malformed("solve-hbl", {"s": ABS_S, "vertices": [[0.0]], "j": [[1.0]],
+                                                       "k": K1}),
+     "$.payload.j: expected an object"),
+    ("hbl-polytope-j-matrix-rows", _malformed("solve-hbl", {
+        "s": ABS_S, "vertices": [[0.0]], "j": {"matrix": [[1.0], [1.0]], "offset": [0.0]}, "k": K1}),
+     "$.payload.j.matrix: expected 1 rows"),
+    ("hbl-polytope-j-offset", _malformed("solve-hbl", {
+        "s": ABS_S, "vertices": [[0.0]], "j": {"matrix": [[1.0]], "offset": []}, "k": K1}),
+     "$.payload.j.offset: expected a nonempty array of numbers"),
+    ("hbl-polytope-k", _malformed("solve-hbl", {
+        "s": ABS_S, "vertices": [[0.0]], "j": J1, "k": {"lin": [0.0, 1.0], "off": 0.0}}),
+     "$.payload.k.lin: expected length 1, got 2"),
+    # verify
+    ("verify-unknown", _malformed("verify", {"suite": []}), "$.payload.suite: unknown field"),
+    ("verify-suites", _malformed("verify", {"suites": "mok"}),
+     "$.payload.suites: expected an array of names"),
+    ("verify-suite-name", _malformed("verify", {"suites": ["mok", 1]}),
+     "$.payload.suites[1]: expected a string"),
+    ("verify-trials", _malformed("verify", {"trials": [1]}), "$.payload.trials: expected an object"),
+    ("verify-trial-count", _malformed("verify", {"trials": {"mok": 1.0}}),
+     "$.payload.trials.mok: expected an integer"),
+    # gen
+    ("gen-missing", _malformed("gen", {"instance": "polytope"}), "$.payload.dims: missing required field"),
+    ("gen-instance", _malformed("gen", {"instance": "nope", "dims": {}}),
+     "$.payload.instance: unknown instance kind"),
+    ("gen-dims", _malformed("gen", {"instance": "polytope", "dims": [3]}),
+     "$.payload.dims: expected an object"),
+    ("gen-dim-integer", _malformed("gen", {"instance": "polytope", "dims": {"d": "3"}}),
+     "$.payload.dims.d: expected an integer"),
+    ("gen-dim-positive", _malformed("gen", {"instance": "polytope", "dims": {"d": 3, "v": 0}}),
+     "$.payload.dims.v: must be >= 1"),
+]
+
+
+class TestSchemaContract:
+    """Every schema error names its JSON path; the messages are pinned."""
+
+    @pytest.mark.parametrize("text,message", [c[1:] for c in SCHEMA_CASES],
+                             ids=[c[0] for c in SCHEMA_CASES])
+    def test_message(self, text, message):
+        with pytest.raises(SchemaError) as err:
+            parse_problem(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text,message", [c[1:] for c in SCHEMA_CASES[:6]],
+                             ids=[c[0] for c in SCHEMA_CASES[:6]])
+    def test_cli_prints_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert run_command(["gen", "--input", str(path)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error: {message}\n"
+
+    def test_solver_input_error_is_schema_error(self):
+        with pytest.raises(SchemaError) as err:
+            run_problem_text(doc("verify", {"suites": ["bogus"]}))
+        assert str(err.value) == "$.payload: unknown suite: 'bogus'"
+
+
+def _golden_documents():
+    """Seeded valid documents: every kind, and each form of each kind."""
+    import numpy as np
+
+    rng = np.random.default_rng(20240817)
+
+    def r(*shape):
+        return np.round(rng.uniform(-2.0, 2.0, shape), 3)
+
+    def fn(p, d):
+        return {"pieces": [{"a": a, "b": b} for a, b in zip(r(p, d).tolist(), r(p).tolist())]}
+
+    def unit(d):
+        u = rng.normal(size=d)
+        return u / np.linalg.norm(u)
+
+    def line(k, d, u):
+        # k points along u in increasing order
+        return (r(d) + np.outer(np.sort(r(k)), u)).tolist()
+
+    def tilted(p, d, u):
+        # pieces nonpositive along u, so the farthest point witnesses each pair
+        pcs = r(p, d)
+        return (pcs - np.outer(np.maximum(pcs @ u, 0.0), u)).tolist()
+
+    def flat_fn(p, d, u):
+        # f constant along u
+        a = r(p, d)
+        return {"pieces": [{"a": s, "b": b} for s, b in zip((a - np.outer(a @ u, u)).tolist(),
+                                                            r(p).tolist())]}
+
+    u2, u3 = unit(2), unit(3)
+    tu = [unit(2), unit(3)]
+    docs = {
+        "gauge-root": ("eval-gauge", {"f": fn(4, 2), "x": r(2).tolist(), "alpha": -0.5}, {}, []),
+        "gauge-zero": ("eval-gauge", {"f": ABS_F, "x": [2.0], "alpha": 3.0}, {}, []),
+        "mok-satisfied": ("solve-mok", {"s": {"pieces": tilted(4, 3, u3)}, "d": line(7, 3, u3)},
+                          {}, []),
+        "mok-violated": ("solve-mok", {"s": {"pieces": r(4, 2).tolist()}, "d": r(5, 2).tolist()},
+                         {}, []),
+        "affine-points": ("synth-affine", {"f": flat_fn(5, 3, u3), "b": {
+            "points": line(6, 3, u3), "scores": r(6).tolist()}}, {}, []),
+        "affine-points-violated": ("synth-affine", {"f": fn(3, 2), "b": {
+            "points": r(4, 2).tolist(), "scores": r(4).tolist()}}, {}, []),
+        "affine-polytope": ("synth-affine", {"f": fn(5, 3), "b": {
+            "vertices": r(7, 3).tolist(), "score_lin": r(3).tolist(), "score_off": 0.25}},
+            {}, []),
+        "sun-points": ("synth-sun", {"f": flat_fn(4, 2, u2), "z": {"points": line(5, 2, u2)}},
+                       {}, []),
+        "sun-vertices": ("synth-sun", {"f": fn(5, 3), "z": {"vertices": r(6, 3).tolist()}},
+                         {}, []),
+        "cahbl-finite": ("synth-cahbl", {"f": flat_fn(4, 3, u3), "z": {
+            "j": line(6, 3, u3), "k": r(6).tolist()}}, {}, []),
+        "cahbl-polytope-affine": ("synth-cahbl", {"f": fn(5, 3), "z": {
+            "vertices": r(5, 2).tolist(), "j": {"matrix": r(3, 2).tolist(), "offset": r(3).tolist()},
+            "k": {"lin": r(2).tolist(), "off": 0.5}}}, {}, []),
+        "cahbl-polytope-max-affine": ("synth-cahbl", {"f": fn(3, 2), "z": {
+            "vertices": [[-1.0], [1.5]], "j": {"matrix": r(2, 1).tolist(), "offset": r(2).tolist()},
+            "k": fn(2, 1)}}, {}, []),
+        "cahbl-polytope-max-affine-ok": ("synth-cahbl", {"f": fn(3, 2), "z": {
+            "vertices": [[-1.0], [0.5]], "j": {"matrix": r(2, 1).tolist(), "offset": r(2).tolist()},
+            "k": fn(2, 1)}}, {}, ["--approximate-ok"]),
+        "hbl-product": ("solve-hbl", {
+            "sublinears": [{"pieces": tilted(3, 2, tu[0])}, {"pieces": tilted(4, 3, tu[1])}],
+            "tables": [line(5, 2, tu[0]), line(5, 3, tu[1])]}, {}, []),
+        "hbl-product-payload": ("solve-hbl", {
+            "sublinears": [{"pieces": tilted(3, 2, tu[0])}, {"pieces": tilted(4, 3, tu[1])}],
+            "tables": [line(5, 2, tu[0]), line(5, 3, tu[1])],
+            "payload": (-np.sort(r(5))).tolist()}, {}, []),
+        "hbl-finite": ("solve-hbl", {"s": {"pieces": tilted(4, 3, u3)}, "j": line(6, 3, u3),
+                                     "k": (-np.sort(r(6))).tolist()}, {}, []),
+        "hbl-finite-violated": ("solve-hbl", {"s": {"pieces": r(3, 2).tolist()},
+                                              "j": r(4, 2).tolist(), "k": r(4).tolist()}, {}, []),
+        "hbl-polytope-affine": ("solve-hbl", {
+            "s": {"pieces": r(4, 3).tolist()}, "vertices": r(5, 2).tolist(),
+            "j": {"matrix": r(3, 2).tolist(), "offset": r(3).tolist()},
+            "k": {"lin": r(2).tolist(), "off": -0.5}}, {}, []),
+        "hbl-polytope-max-affine": ("solve-hbl", {
+            "s": {"pieces": r(3, 2).tolist()}, "vertices": [[0.0], [2.0]],
+            "j": {"matrix": r(2, 1).tolist(), "offset": r(2).tolist()}, "k": fn(3, 1)},
+            {}, ["--approximate-ok"]),
+        "verify": ("verify", {"suites": ["gauge_closed_form", "mok"],
+                              "trials": {"gauge_closed_form": 3, "mok": 2}}, {"seed": 7}, []),
+        "gen-max-affine": ("gen", {"instance": "max_affine", "dims": {"d": 2, "p": 3}},
+                           {"seed": 11}, []),
+        "gen-polytope": ("gen", {"instance": "polytope", "dims": {"d": 2, "v": 4}}, {}, []),
+        "gen-scored-set": ("gen", {"instance": "scored_set", "dims": {"d": 2, "k": 3}},
+                           {"seed": 12}, ["--seed", "13"]),
+        "gen-hbl": ("gen", {"instance": "hbl", "dims": {"n": 2, "d": 2, "p": 3, "nz": 3}},
+                    {"seed": 14}, []),
+        "tolerances": ("synth-sun", {"f": fn(5, 3), "z": {"vertices": r(6, 3).tolist()}},
+                       {"tolerances": {"tol_gap": 1e-300, "tol_mid": 1e-6}}, []),
+        "tol-gap-flag": ("solve-mok", {"s": {"pieces": tilted(3, 2, u2)}, "d": line(6, 2, u2)},
+                         {}, ["--tol-gap", "1e-30"]),
+    }
+    return {name: (kind, doc(kind, payload, **extra), flags)
+            for name, (kind, payload, extra, flags) in docs.items()}
+
+
+# SHA-256 of each golden report, and its exit code.
+GOLDEN = {
+    "affine-points": ("3139b960f1ac57b99fb0a7fc0835c5a79e7d39e9f63bfb98aab6aa355284bf4d", 0),
+    "affine-points-violated": ("d1fd43ec55423fc9670cbdbacf716f357f7dffb86051896328a041b495fee86d", 1),
+    "affine-polytope": ("f3e617fddbd58dc0c5220d7e372ad16bce236145b1c9c038dd78c51750ea08bc", 0),
+    "cahbl-finite": ("244704782c09aa3caccb07d2e267c6e39d94f48aa7170bfdc0b19632b8256c81", 0),
+    "cahbl-polytope-affine": ("031cb7c0a629459219c53aab0190dab72855ccd5748138ab7672885d7f1984d5", 0),
+    "cahbl-polytope-max-affine": ("1a1b7858e62b1784a8f633954bc4d2075ee36045be676ad3646afda40fe1f57e", 2),
+    "cahbl-polytope-max-affine-ok": ("7bd86cd9d5e3fdcc3474b38ada5078d58c67fe106523894f8965306f83969cac", 0),
+    "gauge-root": ("e9fa3421da02c2e4e407ac919a9e07b89d98341c0bd03d9aa56203921a46bfc9", 0),
+    "gauge-zero": ("27b14ca7b6b8be95caa6dccaff85c540c2be00dedca8f8186bf55ba2c11eef06", 0),
+    "gen-hbl": ("ed127b92adeb46a42910c93cf2baf1a1a2c6010994524b1e9aec20b882ffb195", 0),
+    "gen-max-affine": ("4a4c3da7694ff519b7a0b9708146e49b17c14c5af35ef9521b2bb8cdab3fd458", 0),
+    "gen-polytope": ("3d09bbf48e6c7e0a6859b7f73e790a42494b0a75fc41c4fb2bf6d698ebbaa2d0", 0),
+    "gen-scored-set": ("b16d7bdc98baf4f1e61e0e4ab9a81820e807f337f6de5ed708bf0553638fbeec", 0),
+    "hbl-finite": ("2e30b958b61c274efa09bbf1d3f89f3d493cdba45c67fe32723d17d3bfa8d8fb", 0),
+    "hbl-finite-violated": ("4f6610a8fb82674227b14455bdfcf9e9e81b788d838d48dbe2ddc282a33c9c49", 1),
+    "hbl-polytope-affine": ("e9434138f842066ecf2093b858802277127ee8e56f5b092a1b067f5d28a79f09", 2),
+    "hbl-polytope-max-affine": ("070315154ccaf4c3a374b9854c12061ecc3cd6ae553788560e695659593d2bd7", 0),
+    "hbl-product": ("ca23b5e0999575fa48895f74c87ca2b5019dbafb65571b96c9ed49ba40b5ff63", 0),
+    "hbl-product-payload": ("c58d45cc1543bbea6dc95a9f49018f6b7d0b0da9cd4a0f78deff184178151a35", 0),
+    "mok-satisfied": ("ad51ff46da1787c7776845e5b530102ffff1d6d2a5d4393113ab181be33ccc90", 0),
+    "mok-violated": ("a7f4cb8213f9cfbe8510185c81cf14bad1e908bf7e7fc00dba760f01c4b8481d", 1),
+    "sun-points": ("30bc213e8d2764b1c256b7c9506998b6737475448f3c23412808c21f4dc721ad", 0),
+    "sun-vertices": ("97bc571687347b6b72f82fa66c9257cd5e8826a4ff75825af01a5f084e0c6a53", 0),
+    "tol-gap-flag": ("fdc54e9e126135d3fe74594f7ea1ae7fe9c7c2c42d64af4cd14938b062887d83", 0),
+    "tolerances": ("fd89cc53a2bd9fa404d04168bb77e3840b2fd191b4a92b09c31a8b36c36fe93e", 2),
+    "verify": ("b63fb3f7d4e6daf9a6b921a2ff38a646dd1bdb4c80d63ec5a0dbfcc399e016c3", 0),
+}
+
+
+class TestGoldenReports:
+    """Reports of the seeded golden documents are pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report(self, tmp_path, name):
+        import hashlib
+
+        kind, text, flags = _golden_documents()[name]
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(text)
+        code = run_command([kind, "--input", str(src), "--output", str(dst), *flags])
+        assert (hashlib.sha256(dst.read_bytes()).hexdigest(), code) == GOLDEN[name]
+
+    def test_every_document_is_pinned(self):
+        assert sorted(_golden_documents()) == sorted(GOLDEN)
