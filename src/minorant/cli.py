@@ -5,10 +5,10 @@ Exit codes are part of the contract:
 * 0 — success, certificate within tolerances
 * 1 — a hypothesis (midpoint / recession condition) is violated; the
       witness is in the report
-* 2 — numerical failure (certificate outside the document's tolerances,
-      degenerate multiplier, bracket failure, LP anomaly, approximate
-      result without --approximate-ok, failed verify)
-* 3 — parse or schema error
+* 2 — numerical failure (certificate or gauge residual outside the
+      document's tolerances, degenerate multiplier, bracket failure, LP
+      anomaly, approximate result without --approximate-ok, failed verify)
+* 3 — parse or schema error, including a document over a work cap
 
 A report is always written once parsing succeeded.  Floats are serialized
 with 17 significant digits so reports round-trip bit-exactly.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -38,15 +39,17 @@ from .core import (
 )
 from .gauge import BracketFailure, eval_gauge
 from .harness import ScanExhausted, SuiteConfig, gen_instance, run_property_suite
-from .hbl import HblInstance, solve_hbl_jk, solve_hbl_n
+from .hbl import HblCertificate, HblInstance, _solve_product, solve_hbl_jk, solve_hbl_n
 from .lp import LpError
 from .mok import MidpointReport, MokCertificate, solve_mok
 from .synth import (
+    GRID_RESOLUTION,
     ConditionViolated,
     DegenerateLambda,
     FiniteScoredSet,
     LiftedPolytope,
     SynthCertificate,
+    grid_steps,
     synth_affine_from_scored_set,
     synth_composed_minorant,
     synth_tight_minorant,
@@ -60,13 +63,7 @@ EXIT_HYPOTHESIS = 1
 EXIT_NUMERICAL = 2
 EXIT_SCHEMA = 3
 
-PROBLEM_KINDS = (
-    "eval-gauge", "solve-mok", "synth-affine", "synth-sun", "synth-cahbl",
-    "solve-hbl", "verify", "gen",
-)
-
-_TOL_KEYS = ("tol_zero", "tol_gauge", "tol_mid", "tol_lp", "tol_gap",
-             "tol_dom", "lambda_min")
+_TOL_KEYS = tuple(f.name for f in dataclasses.fields(ToleranceConfig))
 
 
 class SchemaError(ValueError):
@@ -83,8 +80,9 @@ def _ensure_obj(value, path: str) -> dict:
     return value
 
 
-def _take(obj: dict, path: str, allowed: Dict[str, bool]) -> Dict[str, Any]:
-    """Enforce the allowed-key set (strict mode) and required keys."""
+def _take(value, path: str, allowed: Dict[str, bool]) -> Dict[str, Any]:
+    """Enforce an object with the allowed-key set (strict mode) and required keys."""
+    obj = _ensure_obj(value, path)
     for key in obj:
         if key not in allowed:
             raise SchemaError(f"{path}.{key}: unknown field")
@@ -130,7 +128,7 @@ def _matrix(value, path: str, cols: Optional[int] = None) -> List[List[float]]:
 
 
 def _parse_max_affine(value, path: str) -> MaxAffineFn:
-    obj = _take(_ensure_obj(value, path), path, {"pieces": True})
+    obj = _take(value, path, {"pieces": True})
     pieces = obj["pieces"]
     if not isinstance(pieces, list) or not pieces:
         raise SchemaError(f"{path}.pieces: expected a nonempty array")
@@ -138,8 +136,7 @@ def _parse_max_affine(value, path: str) -> MaxAffineFn:
     offs = []
     width = None
     for i, piece in enumerate(pieces):
-        p = _take(_ensure_obj(piece, f"{path}.pieces[{i}]"),
-                  f"{path}.pieces[{i}]", {"a": True, "b": True})
+        p = _take(piece, f"{path}.pieces[{i}]", {"a": True, "b": True})
         a = _num_list(p["a"], f"{path}.pieces[{i}].a", width)
         width = len(a)
         slopes.append(a)
@@ -148,31 +145,247 @@ def _parse_max_affine(value, path: str) -> MaxAffineFn:
 
 
 def _parse_sublinear(value, path: str) -> PolyhedralSublinear:
-    obj = _take(_ensure_obj(value, path), path, {"pieces": True})
+    obj = _take(value, path, {"pieces": True})
     return PolyhedralSublinear(np.asarray(_matrix(obj["pieces"], f"{path}.pieces")))
 
 
 def _parse_tolerances(value, path: str) -> ToleranceConfig:
-    obj = _take(_ensure_obj(value, path), path, {k: False for k in _TOL_KEYS})
+    obj = _take(value, path, {k: False for k in _TOL_KEYS})
     kwargs = {k: _number(v, f"{path}.{k}") for k, v in obj.items()}
     return dataclasses.replace(DEFAULT_TOL, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Work budget: a document whose solve would exceed either cap is rejected
+# before any solver array is allocated.  The caps sit at least 100x above
+# every test and benchmark document.
+
+MAX_SCAN_WORK = 1_000_000_000       # candidate x pair x piece terms of the midpoint scan
+MAX_TABLEAU_CELLS = 16_000_000      # float64 cells of one simplex tableau (128 MB)
+
+
+def _lp_cells(n_ub: int, n_eq: int, nvars: int) -> int:
+    """Cells of the tableau `lp.solve_lp` builds: one row per constraint;
+    the variables, one slack per inequality, one artificial per row, and the
+    right-hand side as columns."""
+    rows = n_ub + n_eq
+    return rows * (nvars + n_ub + rows + 1)
+
+
+def _check_work(path: str, keys: int, pieces: int, *lps: Tuple[int, int, int]) -> None:
+    """Reject a document whose midpoint scan (every pair of `keys` keys
+    against every key, over `pieces` pieces in all) or whose largest LP
+    (inequality rows, equality rows, variables) would exceed its cap."""
+    scan = keys * (keys + 1) // 2 * keys * pieces
+    if scan > MAX_SCAN_WORK:
+        raise SchemaError(f"{path}: estimated midpoint-scan work {scan} "
+                          f"exceeds the cap {MAX_SCAN_WORK}")
+    cells = max(_lp_cells(*lp) for lp in lps)
+    if cells > MAX_TABLEAU_CELLS:
+        raise SchemaError(f"{path}: LP tableau of {cells} cells "
+                          f"exceeds the cap {MAX_TABLEAU_CELLS}")
+
+
+def _synth_lps(F: MaxAffineFn, npoints: int) -> tuple:
+    """The synthesis LP over a polytope's vertices (or grid points), and the
+    LP minimizing f over the polytope (an upper bound on the grid path,
+    which runs none)."""
+    return (npoints + 1, 0, F.npieces + 2), (F.npieces, 1, npoints + 2)
+
+
+# ---------------------------------------------------------------------------
+# One builder per problem kind: each validates its payload (dimensions
+# included) and returns the typed solver inputs.
+
+
+def _build_eval_gauge(payload: dict, path: str) -> tuple:
+    obj = _take(payload, path, {"f": True, "x": True, "alpha": True})
+    F = _parse_max_affine(obj["f"], f"{path}.f")
+    x = np.asarray(_num_list(obj["x"], f"{path}.x", F.dim))
+    return F, x, _number(obj["alpha"], f"{path}.alpha")
+
+
+def _build_solve_mok(payload: dict, path: str) -> tuple:
+    obj = _take(payload, path, {"s": True, "d": True})
+    S = _parse_sublinear(obj["s"], f"{path}.s")
+    D = np.asarray(_matrix(obj["d"], f"{path}.d", S.dim))
+    _check_work(f"{path}.d", len(D), S.npieces, (len(D), 1, S.npieces + 2))
+    return S, D
+
+
+def _build_synth_affine(payload: dict, path: str) -> tuple:
+    obj = _take(payload, path, {"f": True, "b": True})
+    F = _parse_max_affine(obj["f"], f"{path}.f")
+    b = _ensure_obj(obj["b"], f"{path}.b")
+    if "points" in b:
+        bb = _take(b, f"{path}.b", {"points": True, "scores": True})
+        pts = _matrix(bb["points"], f"{path}.b.points", F.dim)
+        scores = _num_list(bb["scores"], f"{path}.b.scores", len(pts))
+        _check_work(f"{path}.b.points", len(pts), F.npieces, (len(pts) + 1, 0, F.npieces + 2))
+        return F, FiniteScoredSet(np.asarray(pts), np.asarray(scores))
+    bb = _take(b, f"{path}.b", {"vertices": True, "score_lin": True, "score_off": True})
+    V = _matrix(bb["vertices"], f"{path}.b.vertices", F.dim)
+    lin = _num_list(bb["score_lin"], f"{path}.b.score_lin", F.dim)
+    off = _number(bb["score_off"], f"{path}.b.score_off")
+    _check_work(f"{path}.b.vertices", 0, 0, *_synth_lps(F, len(V)))
+    return F, LiftedPolytope(Polytope(np.asarray(V)), np.asarray(lin), off)
+
+
+def _build_synth_sun(payload: dict, path: str) -> tuple:
+    obj = _take(payload, path, {"f": True, "z": True})
+    F = _parse_max_affine(obj["f"], f"{path}.f")
+    z = _ensure_obj(obj["z"], f"{path}.z")
+    if "points" in z:
+        zz = _take(z, f"{path}.z", {"points": True})
+        pts = _matrix(zz["points"], f"{path}.z.points", F.dim)
+        _check_work(f"{path}.z.points", len(pts), F.npieces, (len(pts) + 1, 0, F.npieces + 2))
+        return F, np.asarray(pts)
+    zz = _take(z, f"{path}.z", {"vertices": True})
+    V = _matrix(zz["vertices"], f"{path}.z.vertices", F.dim)
+    _check_work(f"{path}.z.vertices", 0, 0, *_synth_lps(F, len(V)))
+    return F, Polytope(np.asarray(V))
+
+
+def _build_synth_cahbl(payload: dict, path: str) -> tuple:
+    obj = _take(payload, path, {"f": True, "z": True})
+    F = _parse_max_affine(obj["f"], f"{path}.f")
+    z = _ensure_obj(obj["z"], f"{path}.z")
+    if "j" in z and isinstance(z.get("j"), list):
+        zz = _take(z, f"{path}.z", {"j": True, "k": True})
+        jt = _matrix(zz["j"], f"{path}.z.j", F.dim)
+        kt = _num_list(zz["k"], f"{path}.z.k", len(jt))
+        _check_work(f"{path}.z.j", len(jt), F.npieces, (len(jt) + 1, 0, F.npieces + 2))
+        return F, np.asarray(jt), np.asarray(kt), None
+    zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
+    Z, j, k, rows = _parse_composed(zz, f"{path}.z", F.dim)
+    _check_work(f"{path}.z.vertices", 0, 0, *_synth_lps(F, rows))
+    return F, j, k, Z
+
+
+def _build_solve_hbl(payload: dict, path: str) -> tuple:
+    if "sublinears" in payload:
+        obj = _take(payload, path, {"sublinears": True, "tables": True, "payload": False})
+        subs = obj["sublinears"]
+        tabs = obj["tables"]
+        if not isinstance(subs, list) or not subs:
+            raise SchemaError(f"{path}.sublinears: expected a nonempty array")
+        if not isinstance(tabs, list) or len(tabs) != len(subs):
+            raise SchemaError(f"{path}.tables: expected one table per sublinear")
+        sublinears = []
+        tables = []
+        for m, (s, t) in enumerate(zip(subs, tabs)):
+            S = _parse_sublinear(s, f"{path}.sublinears[{m}]")
+            rows = _matrix(t, f"{path}.tables[{m}]", S.dim)
+            if tables and len(rows) != len(tables[0]):
+                raise SchemaError(f"{path}.tables[{m}]: key-set size mismatch")
+            sublinears.append(S)
+            tables.append(np.asarray(rows))
+        nz = len(tables[0])
+        kv = None
+        if "payload" in obj:
+            kv = np.asarray(_num_list(obj["payload"], f"{path}.payload", nz))
+        pieces = sum(S.npieces for S in sublinears)
+        _check_work(f"{path}.tables", nz, pieces, (nz, len(sublinears), pieces + 2))
+        return (HblInstance(sublinears, tables, kv),)
+    if "s" not in payload:
+        raise SchemaError(f"{path}: expected either 'sublinears' or 's'")
+    # The scalar-payload forms: S plus the identity functional on the reals.
+    if "vertices" in payload:
+        obj = _take(payload, path, {"s": True, "vertices": True, "j": True, "k": True})
+        S = _parse_sublinear(obj["s"], f"{path}.s")
+        Z, j, k, rows = _parse_composed(obj, path, S.dim)
+        _check_work(f"{path}.vertices", 0, 0, (rows, 2, S.npieces + 3))
+        return S, j, k, Z
+    obj = _take(payload, path, {"s": True, "j": True, "k": True})
+    S = _parse_sublinear(obj["s"], f"{path}.s")
+    jt = _matrix(obj["j"], f"{path}.j", S.dim)
+    kt = _num_list(obj["k"], f"{path}.k", len(jt))
+    _check_work(f"{path}.j", len(jt), S.npieces + 1, (len(jt), 2, S.npieces + 3))
+    return S, np.asarray(jt), np.asarray(kt), None
+
+
+def _parse_composed(obj: dict, path: str, dim_out: int) -> tuple:
+    """The polytope, the affine map j into R^dim_out and the payload k of a
+    composed polytope form, and the number of points its LP gets a row for:
+    the vertices for an affine k, the barycentric grid for a max-affine k."""
+    V = _matrix(obj["vertices"], f"{path}.vertices")
+    dz = len(V[0])
+    jm = _take(obj["j"], f"{path}.j", {"matrix": True, "offset": True})
+    M = _matrix(jm["matrix"], f"{path}.j.matrix", dz)
+    if len(M) != dim_out:
+        raise SchemaError(f"{path}.j.matrix: expected {dim_out} rows")
+    off = _num_list(jm["offset"], f"{path}.j.offset", dim_out)
+    k = _parse_payload_k(obj["k"], f"{path}.k", dz)
+    rows = grid_steps(len(V), GRID_RESOLUTION)[1] if isinstance(k, MaxAffineFn) else len(V)
+    return Polytope(np.asarray(V)), AffineTransform(np.asarray(M), np.asarray(off)), k, rows
+
+
+def _parse_payload_k(value, path: str, dz: int):
+    obj = _ensure_obj(value, path)
+    if "pieces" in obj:
+        K = _parse_max_affine(_take(obj, path, {"pieces": True}), path)
+        if K.dim != dz:
+            raise SchemaError(f"{path}.pieces: expected slope length {dz}")
+        return K
+    kk = _take(obj, path, {"lin": True, "off": True})
+    lin = _num_list(kk["lin"], f"{path}.lin", dz)
+    return AffineMap(np.asarray(lin), _number(kk["off"], f"{path}.off"))
+
+
+def _build_verify(payload: dict, path: str) -> tuple:
+    obj = _take(payload, path, {"suites": False, "trials": False})
+    if "suites" in obj:
+        suites = obj["suites"]
+        if not isinstance(suites, list):
+            raise SchemaError(f"{path}.suites: expected an array of names")
+        for i, s in enumerate(suites):
+            if not isinstance(s, str):
+                raise SchemaError(f"{path}.suites[{i}]: expected a string")
+    trials = _ensure_obj(obj.get("trials", {}), f"{path}.trials")
+    counts = {k: _integer(v, f"{path}.trials.{k}") for k, v in trials.items()}
+    return obj.get("suites"), counts
+
+
+def _build_gen(payload: dict, path: str) -> tuple:
+    obj = _take(payload, path, {"instance": True, "dims": True})
+    if obj["instance"] not in ("max_affine", "polytope", "scored_set", "hbl"):
+        raise SchemaError(f"{path}.instance: unknown instance kind")
+    dims = _ensure_obj(obj["dims"], f"{path}.dims")
+    for k, v in dims.items():
+        if _integer(v, f"{path}.dims.{k}") < 1:
+            raise SchemaError(f"{path}.dims.{k}: must be >= 1")
+    return obj["instance"], dict(dims)
+
+
+_BUILDERS = {
+    "eval-gauge": _build_eval_gauge,
+    "solve-mok": _build_solve_mok,
+    "synth-affine": _build_synth_affine,
+    "synth-sun": _build_synth_sun,
+    "synth-cahbl": _build_synth_cahbl,
+    "solve-hbl": _build_solve_hbl,
+    "verify": _build_verify,
+    "gen": _build_gen,
+}
+PROBLEM_KINDS = tuple(_BUILDERS)
 
 
 @dataclasses.dataclass(frozen=True)
 class ProblemFile:
     kind: str
-    payload: dict
+    args: tuple                  # typed solver inputs from the kind's builder
     tolerances: ToleranceConfig
     seed: Optional[int]
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Validate a problem document; raises SchemaError with the offending path."""
+    """Validate a problem document and build its solver inputs; raises
+    SchemaError with the offending path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"$: invalid JSON ({e.msg} at line {e.lineno})") from e
-    doc = _take(_ensure_obj(doc, "$"), "$", {
+    doc = _take(doc, "$", {
         "version": True, "kind": True, "payload": True,
         "tolerances": False, "seed": False,
     })
@@ -186,141 +399,7 @@ def parse_problem(text: str) -> ProblemFile:
         tol = _parse_tolerances(doc["tolerances"], "$.tolerances")
     seed = _integer(doc["seed"], "$.seed") if "seed" in doc else None
     payload = _ensure_obj(doc["payload"], "$.payload")
-    _validate_payload(kind, payload)
-    return ProblemFile(kind, payload, tol, seed)
-
-
-def _validate_payload(kind: str, payload: dict) -> None:
-    """Kind-specific structural validation (dimensions included); building
-    the actual solver inputs happens in the dispatcher."""
-    path = "$.payload"
-    if kind == "eval-gauge":
-        obj = _take(payload, path, {"f": True, "x": True, "alpha": True})
-        F = _parse_max_affine(obj["f"], f"{path}.f")
-        _num_list(obj["x"], f"{path}.x", F.dim)
-        _number(obj["alpha"], f"{path}.alpha")
-    elif kind == "solve-mok":
-        obj = _take(payload, path, {"s": True, "d": True})
-        S = _parse_sublinear(obj["s"], f"{path}.s")
-        _matrix(obj["d"], f"{path}.d", S.dim)
-    elif kind == "synth-affine":
-        obj = _take(payload, path, {"f": True, "b": True})
-        F = _parse_max_affine(obj["f"], f"{path}.f")
-        b = _ensure_obj(obj["b"], f"{path}.b")
-        if "points" in b:
-            bb = _take(b, f"{path}.b", {"points": True, "scores": True})
-            pts = _matrix(bb["points"], f"{path}.b.points", F.dim)
-            _num_list(bb["scores"], f"{path}.b.scores", len(pts))
-        else:
-            bb = _take(b, f"{path}.b",
-                       {"vertices": True, "score_lin": True, "score_off": True})
-            _matrix(bb["vertices"], f"{path}.b.vertices", F.dim)
-            _num_list(bb["score_lin"], f"{path}.b.score_lin", F.dim)
-            _number(bb["score_off"], f"{path}.b.score_off")
-    elif kind == "synth-sun":
-        obj = _take(payload, path, {"f": True, "z": True})
-        F = _parse_max_affine(obj["f"], f"{path}.f")
-        z = _ensure_obj(obj["z"], f"{path}.z")
-        if "points" in z:
-            zz = _take(z, f"{path}.z", {"points": True})
-            _matrix(zz["points"], f"{path}.z.points", F.dim)
-        else:
-            zz = _take(z, f"{path}.z", {"vertices": True})
-            _matrix(zz["vertices"], f"{path}.z.vertices", F.dim)
-    elif kind == "synth-cahbl":
-        obj = _take(payload, path, {"f": True, "z": True})
-        F = _parse_max_affine(obj["f"], f"{path}.f")
-        z = _ensure_obj(obj["z"], f"{path}.z")
-        if "j" in z and isinstance(z.get("j"), list):
-            zz = _take(z, f"{path}.z", {"j": True, "k": True})
-            jt = _matrix(zz["j"], f"{path}.z.j", F.dim)
-            _num_list(zz["k"], f"{path}.z.k", len(jt))
-        else:
-            zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
-            V = _matrix(zz["vertices"], f"{path}.z.vertices")
-            dz = len(V[0])
-            jm = _take(_ensure_obj(zz["j"], f"{path}.z.j"), f"{path}.z.j",
-                       {"matrix": True, "offset": True})
-            M = _matrix(jm["matrix"], f"{path}.z.j.matrix", dz)
-            if len(M) != F.dim:
-                raise SchemaError(f"{path}.z.j.matrix: expected {F.dim} rows")
-            _num_list(jm["offset"], f"{path}.z.j.offset", F.dim)
-            _validate_payload_k(zz["k"], f"{path}.z.k", dz)
-    elif kind == "solve-hbl":
-        if "sublinears" in payload:
-            obj = _take(payload, path,
-                        {"sublinears": True, "tables": True, "payload": False})
-            subs = obj["sublinears"]
-            tabs = obj["tables"]
-            if not isinstance(subs, list) or not subs:
-                raise SchemaError(f"{path}.sublinears: expected a nonempty array")
-            if not isinstance(tabs, list) or len(tabs) != len(subs):
-                raise SchemaError(f"{path}.tables: expected one table per sublinear")
-            nz = None
-            for m, (s, t) in enumerate(zip(subs, tabs)):
-                S = _parse_sublinear(s, f"{path}.sublinears[{m}]")
-                rows = _matrix(t, f"{path}.tables[{m}]", S.dim)
-                if nz is None:
-                    nz = len(rows)
-                elif len(rows) != nz:
-                    raise SchemaError(f"{path}.tables[{m}]: key-set size mismatch")
-            if "payload" in obj:
-                _num_list(obj["payload"], f"{path}.payload", nz)
-        elif "s" in payload:
-            if "vertices" in payload:
-                obj = _take(payload, path,
-                            {"s": True, "vertices": True, "j": True, "k": True})
-                S = _parse_sublinear(obj["s"], f"{path}.s")
-                V = _matrix(obj["vertices"], f"{path}.vertices")
-                dz = len(V[0])
-                jm = _take(_ensure_obj(obj["j"], f"{path}.j"), f"{path}.j",
-                           {"matrix": True, "offset": True})
-                M = _matrix(jm["matrix"], f"{path}.j.matrix", dz)
-                if len(M) != S.dim:
-                    raise SchemaError(f"{path}.j.matrix: expected {S.dim} rows")
-                _num_list(jm["offset"], f"{path}.j.offset", S.dim)
-                _validate_payload_k(obj["k"], f"{path}.k", dz)
-            else:
-                obj = _take(payload, path, {"s": True, "j": True, "k": True})
-                S = _parse_sublinear(obj["s"], f"{path}.s")
-                jt = _matrix(obj["j"], f"{path}.j", S.dim)
-                _num_list(obj["k"], f"{path}.k", len(jt))
-        else:
-            raise SchemaError(f"{path}: expected either 'sublinears' or 's'")
-    elif kind == "verify":
-        obj = _take(payload, path, {"suites": False, "trials": False})
-        if "suites" in obj:
-            suites = obj["suites"]
-            if not isinstance(suites, list):
-                raise SchemaError(f"{path}.suites: expected an array of names")
-            for i, s in enumerate(suites):
-                if not isinstance(s, str):
-                    raise SchemaError(f"{path}.suites[{i}]: expected a string")
-        if "trials" in obj:
-            trials = _ensure_obj(obj["trials"], f"{path}.trials")
-            for k, v in trials.items():
-                _integer(v, f"{path}.trials.{k}")
-    elif kind == "gen":
-        obj = _take(payload, path, {"instance": True, "dims": True})
-        if obj["instance"] not in ("max_affine", "polytope", "scored_set", "hbl"):
-            raise SchemaError(f"{path}.instance: unknown instance kind")
-        dims = _ensure_obj(obj["dims"], f"{path}.dims")
-        for k, v in dims.items():
-            if _integer(v, f"{path}.dims.{k}") < 1:
-                raise SchemaError(f"{path}.dims.{k}: must be >= 1")
-
-
-def _validate_payload_k(value, path: str, dz: int) -> None:
-    obj = _ensure_obj(value, path)
-    if "pieces" in obj:
-        kk = _take(obj, path, {"pieces": True})
-        F = _parse_max_affine({"pieces": kk["pieces"]}, path)
-        if F.dim != dz:
-            raise SchemaError(f"{path}.pieces: expected slope length {dz}")
-    else:
-        kk = _take(obj, path, {"lin": True, "off": True})
-        _num_list(kk["lin"], f"{path}.lin", dz)
-        _number(kk["off"], f"{path}.off")
+    return ProblemFile(kind, _BUILDERS[kind](payload, "$.payload"), tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -424,129 +503,70 @@ def _synth_json(cert: SynthCertificate) -> dict:
     }
 
 
+def _hbl_json(cert: HblCertificate, approximate: bool) -> dict:
+    return {
+        "maps": [_vec(L.w) for L in cert.maps],
+        "weights": [_vec(w) for w in cert.weights],
+        "value": cert.value,
+        "target": cert.target,
+        "gap": cert.gap,
+        "midpoint": _midpoint_json(cert.midpoint),
+        "approximate": approximate,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Dispatch
 
 
-def _exit_code(hypothesis: MidpointReport, cert, tol: ToleranceConfig) -> int:
-    """0 only when the hypothesis holds and the certificate is within `tol`."""
-    if not hypothesis.satisfied:
-        return EXIT_HYPOTHESIS
-    return EXIT_OK if cert.within(tol) else EXIT_NUMERICAL
-
-
 def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
-    """Run the solver for a validated problem; returns (certificate, exit code)."""
-    p = problem.payload
+    """Run the solver on a parsed problem's inputs; returns (certificate,
+    exit code).  A certificate exits 0 only when its hypothesis holds and it
+    is within the tolerances."""
+    args = problem.args
     tol = problem.tolerances
     kind = problem.kind
     if kind == "eval-gauge":
-        F = _parse_max_affine(p["f"], "f")
-        g = eval_gauge(F, np.asarray(p["x"], dtype=np.float64), p["alpha"], tol)
+        g = eval_gauge(*args, tol)
         return ({"value": g.value, "branch": g.branch.value,
-                 "residual": g.residual, "iterations": g.iterations}, EXIT_OK)
+                 "residual": g.residual, "iterations": g.iterations},
+                EXIT_OK if g.within(tol) else EXIT_NUMERICAL)
 
-    if kind == "solve-mok":
-        S = _parse_sublinear(p["s"], "s")
-        cert = solve_mok(S, [np.asarray(r, dtype=np.float64) for r in p["d"]], tol)
-        return _mok_json(cert), _exit_code(cert.midpoint, cert, tol)
-
-    if kind == "synth-affine":
-        F = _parse_max_affine(p["f"], "f")
-        b = p["b"]
-        if "points" in b:
-            B = FiniteScoredSet(np.asarray(b["points"]), np.asarray(b["scores"]))
-        else:
-            B = LiftedPolytope(Polytope(np.asarray(b["vertices"])),
-                               np.asarray(b["score_lin"]), b["score_off"])
-        cert = synth_affine_from_scored_set(F, B, tol)
-        return _synth_json(cert), _exit_code(cert.condition, cert, tol)
-
-    if kind == "synth-sun":
-        F = _parse_max_affine(p["f"], "f")
-        z = p["z"]
-        if "points" in z:
-            Z = [np.asarray(r, dtype=np.float64) for r in z["points"]]
-        else:
-            Z = Polytope(np.asarray(z["vertices"]))
-        cert = synth_tight_minorant(F, Z, tol)
-        return _synth_json(cert), _exit_code(cert.condition, cert, tol)
-
-    if kind == "synth-cahbl":
-        F = _parse_max_affine(p["f"], "f")
-        z = p["z"]
-        if "j" in z and isinstance(z["j"], list):
-            cert = synth_composed_minorant(
-                F, np.asarray(z["j"], dtype=np.float64),
-                np.asarray(z["k"], dtype=np.float64), None, tol)
-        else:
-            jt = AffineTransform(np.asarray(z["j"]["matrix"]),
-                                 np.asarray(z["j"]["offset"]))
-            kk = _build_k(z["k"])
-            cert = synth_composed_minorant(
-                F, jt, kk, Polytope(np.asarray(z["vertices"])), tol)
-        if cert.approximate and not approximate_ok:
-            return (_synth_json(cert) | {"error": "approximate-not-allowed"},
-                    EXIT_NUMERICAL)
-        return _synth_json(cert), _exit_code(cert.condition, cert, tol)
-
-    if kind == "solve-hbl":
+    if kind in ("solve-mok", "synth-affine", "synth-sun", "synth-cahbl", "solve-hbl"):
         approximate = False
-        if "sublinears" in p:
-            subs = [_parse_sublinear(s, "s") for s in p["sublinears"]]
-            tabs = [np.asarray(t, dtype=np.float64) for t in p["tables"]]
-            payload = np.asarray(p["payload"], dtype=np.float64) if "payload" in p else None
-            inst = HblInstance(subs, tabs, payload)
-            if payload is None:
-                cert = solve_hbl_n(inst, tol)
+        if kind == "solve-mok":
+            cert = solve_mok(*args, tol)
+            body, hypothesis = _mok_json(cert), cert.midpoint
+        elif kind == "solve-hbl":
+            if isinstance(args[0], HblInstance):
+                inst = args[0]
+                cert = (solve_hbl_n if inst.payload is None else _solve_product)(inst, tol)
             else:
-                from .hbl import _solve_product
-
-                cert = _solve_product(inst, tol)
+                cert, approximate = solve_hbl_jk(*args, tol)
+            body, hypothesis = _hbl_json(cert, approximate), cert.midpoint
         else:
-            S = _parse_sublinear(p["s"], "s")
-            if "vertices" in p:
-                jt = AffineTransform(np.asarray(p["j"]["matrix"]),
-                                     np.asarray(p["j"]["offset"]))
-                kk = _build_k(p["k"])
-                cert, approximate = solve_hbl_jk(
-                    S, jt, kk, Polytope(np.asarray(p["vertices"])), tol)
-            else:
-                cert, approximate = solve_hbl_jk(
-                    S, np.asarray(p["j"], dtype=np.float64),
-                    np.asarray(p["k"], dtype=np.float64), None, tol)
-        body = {
-            "maps": [_vec(L.w) for L in cert.maps],
-            "weights": [_vec(w) for w in cert.weights],
-            "value": cert.value,
-            "target": cert.target,
-            "gap": cert.gap,
-            "midpoint": _midpoint_json(cert.midpoint),
-            "approximate": approximate,
-        }
+            solver = {"synth-affine": synth_affine_from_scored_set,
+                      "synth-sun": synth_tight_minorant,
+                      "synth-cahbl": synth_composed_minorant}[kind]
+            cert = solver(*args, tol)
+            body, hypothesis, approximate = _synth_json(cert), cert.condition, cert.approximate
         if approximate and not approximate_ok:
             return body | {"error": "approximate-not-allowed"}, EXIT_NUMERICAL
-        return body, _exit_code(cert.midpoint, cert, tol)
+        if not hypothesis.satisfied:
+            return body, EXIT_HYPOTHESIS
+        return body, EXIT_OK if cert.within(tol) else EXIT_NUMERICAL
 
     if kind == "verify":
-        trials = {k: int(v) for k, v in p.get("trials", {}).items()}
+        suites, trials = args
         cfg = SuiteConfig(seed=problem.seed if problem.seed is not None else 20240817,
                           trials=trials, tol=tol)
-        rep = run_property_suite(cfg, p.get("suites"))
+        rep = run_property_suite(cfg, suites)
         return rep.to_json(), EXIT_OK if rep.all_passed else EXIT_NUMERICAL
 
-    if kind == "gen":
-        seed = problem.seed if problem.seed is not None else 0
-        inst = gen_instance(p["instance"], {k: int(v) for k, v in p["dims"].items()}, seed)
-        return {"generated": _instance_json(p["instance"], inst), "seed": seed}, EXIT_OK
-
-    raise SchemaError(f"$.kind: unknown problem kind {kind!r}")
-
-
-def _build_k(spec: dict):
-    if "pieces" in spec:
-        return _parse_max_affine(spec, "k")
-    return AffineMap(np.asarray(spec["lin"], dtype=np.float64), spec["off"])
+    instance, dims = args  # gen
+    seed = problem.seed if problem.seed is not None else 0
+    inst = gen_instance(instance, dims, seed)
+    return {"generated": _instance_json(instance, inst), "seed": seed}, EXIT_OK
 
 
 def _instance_json(kind: str, inst) -> dict:
@@ -574,7 +594,14 @@ def run_problem_text(text: str, approximate_ok: bool = False,
     Schema errors surface as SchemaError (no report).  Solver failures are
     folded into an error report with the numerical-failure exit code.
     """
-    problem = parse_problem(text)
+    return _run_parsed(parse_problem(text), text, approximate_ok,
+                       seed_override, tol_gap_override)
+
+
+def _run_parsed(problem: ProblemFile, text: str, approximate_ok: bool,
+                seed_override: Optional[int],
+                tol_gap_override: Optional[float]) -> Tuple[str, int]:
+    """Solve and serialize a problem already parsed from `text`."""
     if seed_override is not None:
         problem = dataclasses.replace(problem, seed=seed_override)
     if tol_gap_override is not None:
@@ -605,8 +632,10 @@ def run_problem_text(text: str, approximate_ok: bool = False,
     return emit_report(report), code
 
 
-def run_command(argv: List[str]) -> int:
-    """Entry point used by the console script; returns the exit code."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `parse_args` returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="minorant",
         description="certificate-producing solvers for affine-minorant synthesis",
@@ -619,8 +648,13 @@ def run_command(argv: List[str]) -> int:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--tol-gap", type=float, default=None)
         sp.add_argument("--approximate-ok", action="store_true")
+    return parser
+
+
+def run_command(argv: List[str]) -> int:
+    """Entry point used by the console script; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_SCHEMA if e.code not in (0, None) else 0
 
@@ -641,10 +675,8 @@ def run_command(argv: List[str]) -> int:
                 f"$.kind: document says {problem.kind!r} but the "
                 f"{args.command!r} subcommand was invoked"
             )
-        report_text, code = run_problem_text(
-            text, approximate_ok=args.approximate_ok,
-            seed_override=args.seed, tol_gap_override=args.tol_gap,
-        )
+        report_text, code = _run_parsed(problem, text, args.approximate_ok,
+                                        args.seed, args.tol_gap)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -87,6 +87,10 @@ class GaugeValue:
         if self.branch is Branch.ZERO and self.value != 0.0:
             raise InvalidInput("zero branch must carry value 0")
 
+    def within(self, tol: ToleranceConfig) -> bool:
+        """The implicit equation holds within `tol.tol_gauge`."""
+        return self.residual <= tol.tol_gauge
+
 
 def shift(F: MaxAffineFn) -> ShiftedFn:
     """Lower every offset by f(0) + 1, pinning the shifted value at 0 to -1."""

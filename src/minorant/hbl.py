@@ -96,10 +96,6 @@ class HblCertificate:
         """The two infima agree within `tol.tol_lp`."""
         return abs(self.gap) <= tol.tol_lp
 
-    @property
-    def guarantee_holds(self) -> bool:
-        return not self.midpoint.satisfied or self.within(DEFAULT_TOL)
-
 
 def _payload_or_zero(inst: HblInstance) -> np.ndarray:
     if inst.payload is not None:

@@ -46,10 +46,6 @@ class MokCertificate:
         """The two infima agree within `tol.tol_lp`."""
         return abs(self.gap) <= tol.tol_lp
 
-    @property
-    def guarantee_holds(self) -> bool:
-        return not self.midpoint.satisfied or self.within(DEFAULT_TOL)
-
 
 def _as_point_rows(D: List, dim: int) -> np.ndarray:
     if len(D) == 0:

@@ -18,6 +18,7 @@ yields lam > 0 and A = Lam/lam - 1/lam + f(0) + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -60,6 +61,7 @@ __all__ = [
     "synth_composed_minorant",
     "DOMINATION_SAMPLES",
     "GRID_RESOLUTION",
+    "grid_steps",
 ]
 
 DOMINATION_SAMPLES = 10_000
@@ -419,21 +421,21 @@ def _barycentric_grid(nparts: int, steps: int) -> np.ndarray:
     return np.asarray(out, dtype=np.float64) / steps
 
 
+def grid_steps(nvertices: int, resolution: int) -> Tuple[int, int]:
+    """Steps and point count of the grid `_grid_points` builds: `resolution`
+    steps, halved while the compositions of the steps into `nvertices` parts
+    number more than _GRID_POINT_CAP."""
+    steps = resolution
+    while steps > 1 and comb(steps + nvertices - 1, nvertices - 1) > _GRID_POINT_CAP:
+        steps //= 2
+    return steps, comb(steps + nvertices - 1, nvertices - 1)
+
+
 def _grid_points(poly: Polytope, resolution: int) -> np.ndarray:
     """Barycentric grid sample of a polytope, coarsened if the vertex count
     would make the full grid explode."""
-    k = poly.nvertices
-    steps = resolution
-    while steps > 1:
-        count = 1
-        # Number of compositions of `steps` into k nonnegative parts.
-        from math import comb
-
-        count = comb(steps + k - 1, k - 1)
-        if count <= _GRID_POINT_CAP:
-            break
-        steps //= 2
-    W = _barycentric_grid(k, steps)
+    steps, _ = grid_steps(poly.nvertices, resolution)
+    W = _barycentric_grid(poly.nvertices, steps)
     return W @ poly.vertices
 
 

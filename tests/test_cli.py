@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -743,3 +744,200 @@ class TestGoldenReports:
 
     def test_every_document_is_pinned(self):
         assert sorted(_golden_documents()) == sorted(GOLDEN)
+
+
+class TestGaugeTolerance:
+    """eval-gauge exits 0 only with its residual within tol_gauge."""
+
+    PAYLOAD = {"f": {"pieces": [{"a": [0.3, -1.1], "b": 0.7}, {"a": [-0.9, 0.4], "b": -0.2},
+                                {"a": [1.3, 0.6], "b": 0.1}]},
+               "x": [1.7, 0.1], "alpha": -1.1}
+
+    def test_residual_against_tol_gauge(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        runs = []
+        for extra in ({}, {"tolerances": {"tol_gauge": 1e-16}},
+                      {"tolerances": {"tol_gauge": 1e-15}}):
+            path.write_text(doc("eval-gauge", self.PAYLOAD, **extra))
+            code = run_command(["eval-gauge", "--input", str(path)])
+            runs.append((code, json.loads(capsys.readouterr().out)))
+        residual = runs[0][1]["certificate"]["residual"]
+        assert 1e-16 < residual < 1e-15
+        assert [code for code, _ in runs] == [EXIT_OK, EXIT_NUMERICAL, EXIT_OK]
+        assert runs[1][1]["status"] == "numerical-failure"
+        assert runs[1][1]["certificate"] == runs[0][1]["certificate"]
+
+
+class TestParserOnce:
+    """The argument parser is built once per process and keeps no state
+    from one call to the next."""
+
+    def _run(self, tmp_path, text, *argv):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        return run_command([argv[0], "--input", str(path), *argv[1:]])
+
+    def test_built_at_most_once(self, tmp_path, capsys, monkeypatch):
+        import argparse
+        import types
+
+        from minorant import cli
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("prog"))
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+        for _ in range(10):
+            assert self._run(tmp_path, GAUGE_DOC, "eval-gauge") == EXIT_OK
+        assert len(built) <= 1
+
+    def test_flags_do_not_carry_over(self, monkeypatch, tmp_path, capsys):
+        from minorant import cli
+
+        seen = []
+        real = cli._run_parsed
+
+        def spy(problem, text, approximate_ok, seed, tol_gap):
+            seen.append((approximate_ok, seed, tol_gap))
+            return real(problem, text, approximate_ok, seed, tol_gap)
+
+        monkeypatch.setattr(cli, "_run_parsed", spy)
+        assert self._run(tmp_path, SUN_DOC, "synth-sun", "--seed", "5", "--tol-gap", "1e-300",
+                         "--approximate-ok") == EXIT_OK
+        assert self._run(tmp_path, SUN_DOC, "synth-sun") == EXIT_OK
+        assert seen == [(True, 5, 1e-300), (False, None, None)]
+
+    def test_errors_do_not_carry_over(self, tmp_path, capsys):
+        assert run_command(["no-such-command"]) == EXIT_SCHEMA
+        assert self._run(tmp_path, GAUGE_DOC, "eval-gauge") == EXIT_OK
+        assert self._run(tmp_path, GAUGE_DOC, "solve-mok") == EXIT_SCHEMA
+        assert "subcommand was invoked" in capsys.readouterr().err
+        assert self._run(tmp_path, MOK_OK_DOC, "solve-mok") == EXIT_OK
+
+
+class TestWorkBudget:
+    """Documents whose solve would exceed a work cap are schema errors,
+    raised before any solver array is allocated."""
+
+    def test_scan_cap(self):
+        from minorant import cli
+
+        # One key against itself, over n pieces, is n terms.
+        cli._check_work("$.payload.d", 1, cli.MAX_SCAN_WORK, (1, 0, 1))
+        with pytest.raises(SchemaError) as err:
+            cli._check_work("$.payload.d", 1, cli.MAX_SCAN_WORK + 1, (1, 0, 1))
+        assert str(err.value) == (f"$.payload.d: estimated midpoint-scan work "
+                                  f"{cli.MAX_SCAN_WORK + 1} exceeds the cap {cli.MAX_SCAN_WORK}")
+        keys = round((2 * cli.MAX_SCAN_WORK) ** (1 / 3))
+        cli._check_work("$.payload.d", keys - 1, 1, (1, 0, 1))
+        with pytest.raises(SchemaError, match="midpoint-scan work 1000981800 exceeds"):
+            cli._check_work("$.payload.d", keys, 1, (1, 0, 1))
+
+    def test_tableau_cap(self, monkeypatch):
+        import numpy as np
+
+        from minorant import cli, lp
+
+        # The estimate is the size of the tableau solve_lp builds.
+        sizes = set()
+        real = lp._simplex_core
+
+        def spy(T, *args):
+            sizes.add(T.size)
+            return real(T, *args)
+
+        monkeypatch.setattr(lp, "_simplex_core", spy)
+        lp.solve_lp(np.ones(4), np.ones((3, 4)), np.ones(3), np.ones((2, 4)), np.ones(2))
+        assert sizes == {cli._lp_cells(3, 2, 4)}
+
+        # One equality row over n - 2 variables is a 1 x n tableau.
+        at_cap = (0, 1, cli.MAX_TABLEAU_CELLS - 2)
+        assert cli._lp_cells(*at_cap) == cli.MAX_TABLEAU_CELLS
+        cli._check_work("$.payload.vertices", 0, 0, (2, 0, 1), at_cap)
+        with pytest.raises(SchemaError) as err:
+            cli._check_work("$.payload.vertices", 0, 0, (2, 0, 1),
+                            (0, 1, cli.MAX_TABLEAU_CELLS - 1))
+        assert str(err.value) == (f"$.payload.vertices: LP tableau of "
+                                  f"{cli.MAX_TABLEAU_CELLS + 1} cells exceeds the cap "
+                                  f"{cli.MAX_TABLEAU_CELLS}")
+
+    def test_grid_count_is_shared(self):
+        from minorant import synth
+        from minorant.core import Polytope
+
+        for nvertices, resolution in ((1, 256), (2, 256), (3, 7), (4, 16), (9, 256)):
+            poly = Polytope([[float(i == j) for j in range(nvertices)] for i in range(nvertices)])
+            steps, count = synth.grid_steps(nvertices, resolution)
+            assert synth._grid_points(poly, resolution).shape[0] == count
+        assert synth.grid_steps(3, 256) == (256, 33153)
+
+    def test_triangle_grid_rejected_before_allocation(self, monkeypatch):
+        from minorant import synth
+
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(synth, "_barycentric_grid", no_grid)
+        triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        j = {"matrix": [[1.0, 0.0]], "offset": [0.0]}
+        k = {"pieces": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [0.0, 1.0], "b": 0.0}]}
+        for kind, payload, path in (
+            ("synth-cahbl", {"f": ABS_F, "z": {"vertices": triangle, "j": j, "k": k}},
+             "$.payload.z.vertices"),
+            ("solve-hbl", {"s": ABS_S, "vertices": triangle, "j": j, "k": k},
+             "$.payload.vertices"),
+        ):
+            with pytest.raises(SchemaError, match=r"^" + re.escape(path) + ": LP tableau of"):
+                parse_problem(doc(kind, payload))
+
+    def test_finite_forms_checked(self):
+        from minorant import cli
+
+        keys = 1 + round((2 * cli.MAX_SCAN_WORK / 2) ** (1 / 3))
+        pts = [[float(i)] for i in range(keys)]
+        cases = [
+            ("solve-mok", {"s": ABS_S, "d": pts}, "$.payload.d"),
+            ("synth-affine", {"f": ABS_F, "b": {"points": pts, "scores": [0.0] * keys}},
+             "$.payload.b.points"),
+            ("synth-sun", {"f": ABS_F, "z": {"points": pts}}, "$.payload.z.points"),
+            ("synth-cahbl", {"f": ABS_F, "z": {"j": pts, "k": [0.0] * keys}}, "$.payload.z.j"),
+            ("solve-hbl", {"sublinears": [ABS_S], "tables": [pts]}, "$.payload.tables"),
+            ("solve-hbl", {"s": ABS_S, "j": pts, "k": [0.0] * keys}, "$.payload.j"),
+        ]
+        for kind, payload, path in cases:
+            with pytest.raises(SchemaError, match=r"^" + re.escape(path) + ": estimated"):
+                parse_problem(doc(kind, payload))
+
+    @pytest.mark.parametrize("name", sorted(n for n in GOLDEN
+                                            if not n.startswith(("gauge", "gen", "verify"))))
+    def test_estimates_match_the_solve(self, monkeypatch, name):
+        from minorant import cli, hbl, lp, mok, synth
+
+        estimated, built = [], {"cells": 0, "scan": 0}
+        real_check, real_core, real_scan = cli._check_work, lp._simplex_core, mok.midpoint_scan
+
+        def check(path, keys, pieces, *lps):
+            estimated.append((keys * (keys + 1) // 2 * keys * pieces,
+                              max(cli._lp_cells(*lp) for lp in lps)))
+            real_check(path, keys, pieces, *lps)
+
+        def core(T, *args):
+            built["cells"] = max(built["cells"], T.size)
+            return real_core(T, *args)
+
+        def scan(gains, payload, tol):
+            k = gains[0].shape[0]
+            built["scan"] += k * (k + 1) // 2 * k * sum(G.shape[1] for G in gains)
+            return real_scan(gains, payload, tol)
+
+        monkeypatch.setattr(cli, "_check_work", check)
+        monkeypatch.setattr(lp, "_simplex_core", core)
+        for module in (mok, synth, hbl):
+            monkeypatch.setattr(module, "midpoint_scan", scan)
+        kind, text, flags = _golden_documents()[name]
+        run_problem_text(text, approximate_ok=True)
+        assert estimated == [(built["scan"], built["cells"])]
