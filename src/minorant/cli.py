@@ -194,7 +194,7 @@ def _synth_lps(F: MaxAffineFn, npoints: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# One builder per problem kind: each validates its payload (dimensions
+# One build function per problem kind: each validates its payload (dimensions
 # included) and returns the typed solver inputs.
 
 
@@ -357,7 +357,7 @@ def _build_gen(payload: dict, path: str) -> tuple:
     return obj["instance"], dict(dims)
 
 
-_BUILDERS = {
+_BUILD_BY_KIND = {
     "eval-gauge": _build_eval_gauge,
     "solve-mok": _build_solve_mok,
     "synth-affine": _build_synth_affine,
@@ -367,13 +367,13 @@ _BUILDERS = {
     "verify": _build_verify,
     "gen": _build_gen,
 }
-PROBLEM_KINDS = tuple(_BUILDERS)
+PROBLEM_KINDS = tuple(_BUILD_BY_KIND)
 
 
 @dataclasses.dataclass(frozen=True)
 class ProblemFile:
     kind: str
-    args: tuple                  # typed solver inputs from the kind's builder
+    args: tuple                  # typed solver inputs built from the payload
     tolerances: ToleranceConfig
     seed: Optional[int]
 
@@ -399,7 +399,7 @@ def parse_problem(text: str) -> ProblemFile:
         tol = _parse_tolerances(doc["tolerances"], "$.tolerances")
     seed = _integer(doc["seed"], "$.seed") if "seed" in doc else None
     payload = _ensure_obj(doc["payload"], "$.payload")
-    return ProblemFile(kind, _BUILDERS[kind](payload, "$.payload"), tol, seed)
+    return ProblemFile(kind, _BUILD_BY_KIND[kind](payload, "$.payload"), tol, seed)
 
 
 # ---------------------------------------------------------------------------
