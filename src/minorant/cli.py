@@ -7,8 +7,11 @@ Exit codes are part of the contract:
       witness is in the report
 * 2 — numerical failure (certificate or gauge residual outside the
       document's tolerances, degenerate multiplier, bracket failure, LP
-      anomaly, approximate result without --approximate-ok, failed verify)
+      anomaly, failed verify)
 * 3 — parse or schema error, including a document over a work cap
+
+Every polytope form is exact: its LP has one row per vertex, and a
+max-affine payload adds one weight per piece (minimax theorem).
 
 A report is always written once parsing succeeded.  Floats are serialized
 with 17 significant digits so reports round-trip bit-exactly.
@@ -39,17 +42,15 @@ from .core import (
 )
 from .gauge import BracketFailure, eval_gauge
 from .harness import ScanExhausted, SuiteConfig, gen_instance, run_property_suite
-from .hbl import HblCertificate, HblInstance, _solve_product, solve_hbl_jk, solve_hbl_n
+from .hbl import HblCertificate, HblInstance, solve_hbl_jk, solve_hbl_n
 from .lp import LpError
 from .mok import MidpointReport, MokCertificate, solve_mok
 from .synth import (
-    GRID_RESOLUTION,
     ConditionViolated,
     DegenerateLambda,
     FiniteScoredSet,
     LiftedPolytope,
     SynthCertificate,
-    grid_steps,
     synth_affine_from_scored_set,
     synth_composed_minorant,
     synth_tight_minorant,
@@ -95,9 +96,13 @@ def _take(value, path: str, allowed: Dict[str, bool]) -> Dict[str, Any]:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    if not math.isfinite(value):
+    try:
+        x = float(value)  # an integer beyond the float range overflows here
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
         raise SchemaError(f"{path}: number must be finite")
-    return float(value)
+    return x
 
 
 def _integer(value, path: str) -> int:
@@ -186,11 +191,13 @@ def _check_work(path: str, keys: int, pieces: int, *lps: Tuple[int, int, int]) -
                           f"exceeds the cap {MAX_TABLEAU_CELLS}")
 
 
-def _synth_lps(F: MaxAffineFn, npoints: int) -> tuple:
-    """The synthesis LP over a polytope's vertices (or grid points), and the
-    LP minimizing f over the polytope (an upper bound on the grid path,
-    which runs none)."""
-    return (npoints + 1, 0, F.npieces + 2), (F.npieces, 1, npoints + 2)
+def _synth_lps(F: MaxAffineFn, nvertices: int, q: int = 1) -> tuple:
+    """The synthesis LP over a polytope's vertices, with q - 1 payload
+    weights and their row when the payload has q > 1 pieces, and the LP
+    minimizing f o j + k over the polytope on its p*q pieces.  The LP for
+    the minimum of A o j + k has q pieces, so it is never the larger."""
+    return ((nvertices + 1 + (q > 1), 0, F.npieces + q + 1),
+            (F.npieces * q, 1, nvertices + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +264,8 @@ def _build_synth_cahbl(payload: dict, path: str) -> tuple:
         _check_work(f"{path}.z.j", len(jt), F.npieces, (len(jt) + 1, 0, F.npieces + 2))
         return F, np.asarray(jt), np.asarray(kt), None
     zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
-    Z, j, k, rows = _parse_composed(zz, f"{path}.z", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, *_synth_lps(F, rows))
+    Z, j, k, q = _parse_composed(zz, f"{path}.z", F.dim)
+    _check_work(f"{path}.z.vertices", 0, 0, *_synth_lps(F, Z.nvertices, q))
     return F, j, k, Z
 
 
@@ -293,8 +300,10 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
     if "vertices" in payload:
         obj = _take(payload, path, {"s": True, "vertices": True, "j": True, "k": True})
         S = _parse_sublinear(obj["s"], f"{path}.s")
-        Z, j, k, rows = _parse_composed(obj, path, S.dim)
-        _check_work(f"{path}.vertices", 0, 0, (rows, 2, S.npieces + 3))
+        Z, j, k, q = _parse_composed(obj, path, S.dim)
+        # The product LP over the vertices, and the LP for inf_Z [S o j + k].
+        _check_work(f"{path}.vertices", 0, 0, (Z.nvertices, 2, S.npieces + q + 2),
+                    (S.npieces * q, 1, Z.nvertices + 2))
         return S, j, k, Z
     obj = _take(payload, path, {"s": True, "j": True, "k": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")
@@ -306,8 +315,7 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
 
 def _parse_composed(obj: dict, path: str, dim_out: int) -> tuple:
     """The polytope, the affine map j into R^dim_out and the payload k of a
-    composed polytope form, and the number of points its LP gets a row for:
-    the vertices for an affine k, the barycentric grid for a max-affine k."""
+    composed polytope form, and the number of pieces of k."""
     V = _matrix(obj["vertices"], f"{path}.vertices")
     dz = len(V[0])
     jm = _take(obj["j"], f"{path}.j", {"matrix": True, "offset": True})
@@ -316,8 +324,8 @@ def _parse_composed(obj: dict, path: str, dim_out: int) -> tuple:
         raise SchemaError(f"{path}.j.matrix: expected {dim_out} rows")
     off = _num_list(jm["offset"], f"{path}.j.offset", dim_out)
     k = _parse_payload_k(obj["k"], f"{path}.k", dz)
-    rows = grid_steps(len(V), GRID_RESOLUTION)[1] if isinstance(k, MaxAffineFn) else len(V)
-    return Polytope(np.asarray(V)), AffineTransform(np.asarray(M), np.asarray(off)), k, rows
+    q = k.npieces if isinstance(k, MaxAffineFn) else 1
+    return Polytope(np.asarray(V)), AffineTransform(np.asarray(M), np.asarray(off)), k, q
 
 
 def _parse_payload_k(value, path: str, dz: int):
@@ -346,14 +354,29 @@ def _build_verify(payload: dict, path: str) -> tuple:
     return obj.get("suites"), counts
 
 
+# The dims each generated instance kind reads, and the most floats it holds.
+_GEN_DIMS = {
+    "max_affine": (("d", "p"), lambda d, p: p * (d + 1)),
+    "polytope": (("d", "v"), lambda d, v: v * d),
+    "scored_set": (("d", "k"), lambda d, k: k * (d + 1)),
+    "hbl": (("n", "d", "p", "nz"), lambda n, d, p, nz: n * d * (p + nz)),
+}
+
+
 def _build_gen(payload: dict, path: str) -> tuple:
     obj = _take(payload, path, {"instance": True, "dims": True})
-    if obj["instance"] not in ("max_affine", "polytope", "scored_set", "hbl"):
+    if not isinstance(obj["instance"], str) or obj["instance"] not in _GEN_DIMS:
         raise SchemaError(f"{path}.instance: unknown instance kind")
+    names, floats = _GEN_DIMS[obj["instance"]]
     dims = _ensure_obj(obj["dims"], f"{path}.dims")
     for k, v in dims.items():
         if _integer(v, f"{path}.dims.{k}") < 1:
             raise SchemaError(f"{path}.dims.{k}: must be >= 1")
+    _take(dims, f"{path}.dims", {name: True for name in names})
+    size = floats(*(dims[name] for name in names))
+    if size > MAX_TABLEAU_CELLS:
+        raise SchemaError(f"{path}.dims: instance of {size} floats "
+                          f"exceeds the cap {MAX_TABLEAU_CELLS}")
     return obj["instance"], dict(dims)
 
 
@@ -503,7 +526,7 @@ def _synth_json(cert: SynthCertificate) -> dict:
     }
 
 
-def _hbl_json(cert: HblCertificate, approximate: bool) -> dict:
+def _hbl_json(cert: HblCertificate) -> dict:
     return {
         "maps": [_vec(L.w) for L in cert.maps],
         "weights": [_vec(w) for w in cert.weights],
@@ -511,7 +534,7 @@ def _hbl_json(cert: HblCertificate, approximate: bool) -> dict:
         "target": cert.target,
         "gap": cert.gap,
         "midpoint": _midpoint_json(cert.midpoint),
-        "approximate": approximate,
+        "approximate": False,
     }
 
 
@@ -519,7 +542,7 @@ def _hbl_json(cert: HblCertificate, approximate: bool) -> dict:
 # Dispatch
 
 
-def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
+def _solve(problem: ProblemFile) -> Tuple[dict, int]:
     """Run the solver on a parsed problem's inputs; returns (certificate,
     exit code).  A certificate exits 0 only when its hypothesis holds and it
     is within the tolerances."""
@@ -533,25 +556,19 @@ def _solve(problem: ProblemFile, approximate_ok: bool) -> Tuple[dict, int]:
                 EXIT_OK if g.within(tol) else EXIT_NUMERICAL)
 
     if kind in ("solve-mok", "synth-affine", "synth-sun", "synth-cahbl", "solve-hbl"):
-        approximate = False
         if kind == "solve-mok":
             cert = solve_mok(*args, tol)
             body, hypothesis = _mok_json(cert), cert.midpoint
         elif kind == "solve-hbl":
-            if isinstance(args[0], HblInstance):
-                inst = args[0]
-                cert = (solve_hbl_n if inst.payload is None else _solve_product)(inst, tol)
-            else:
-                cert, approximate = solve_hbl_jk(*args, tol)
-            body, hypothesis = _hbl_json(cert, approximate), cert.midpoint
+            solver = solve_hbl_n if isinstance(args[0], HblInstance) else solve_hbl_jk
+            cert = solver(*args, tol)
+            body, hypothesis = _hbl_json(cert), cert.midpoint
         else:
             solver = {"synth-affine": synth_affine_from_scored_set,
                       "synth-sun": synth_tight_minorant,
                       "synth-cahbl": synth_composed_minorant}[kind]
             cert = solver(*args, tol)
-            body, hypothesis, approximate = _synth_json(cert), cert.condition, cert.approximate
-        if approximate and not approximate_ok:
-            return body | {"error": "approximate-not-allowed"}, EXIT_NUMERICAL
+            body, hypothesis = _synth_json(cert), cert.condition
         if not hypothesis.satisfied:
             return body, EXIT_HYPOTHESIS
         return body, EXIT_OK if cert.within(tol) else EXIT_NUMERICAL
@@ -586,20 +603,17 @@ def _instance_json(kind: str, inst) -> dict:
     raise SchemaError(f"unknown instance kind {kind!r}")
 
 
-def run_problem_text(text: str, approximate_ok: bool = False,
-                     seed_override: Optional[int] = None,
+def run_problem_text(text: str, seed_override: Optional[int] = None,
                      tol_gap_override: Optional[float] = None) -> Tuple[str, int]:
     """Parse, solve, and serialize; returns (report text, exit code).
 
     Schema errors surface as SchemaError (no report).  Solver failures are
     folded into an error report with the numerical-failure exit code.
     """
-    return _run_parsed(parse_problem(text), text, approximate_ok,
-                       seed_override, tol_gap_override)
+    return _run_parsed(parse_problem(text), text, seed_override, tol_gap_override)
 
 
-def _run_parsed(problem: ProblemFile, text: str, approximate_ok: bool,
-                seed_override: Optional[int],
+def _run_parsed(problem: ProblemFile, text: str, seed_override: Optional[int],
                 tol_gap_override: Optional[float]) -> Tuple[str, int]:
     """Solve and serialize a problem already parsed from `text`."""
     if seed_override is not None:
@@ -613,7 +627,7 @@ def _run_parsed(problem: ProblemFile, text: str, approximate_ok: bool,
     status_by_code = {EXIT_OK: "ok", EXIT_HYPOTHESIS: "hypothesis-violated",
                       EXIT_NUMERICAL: "numerical-failure"}
     try:
-        cert, code = _solve(problem, approximate_ok)
+        cert, code = _solve(problem)
     except ConditionViolated as e:
         cert = {"error": "condition-violated", "condition": _midpoint_json(e.report)}
         code = EXIT_HYPOTHESIS
@@ -647,7 +661,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="report file (default: stdout)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--tol-gap", type=float, default=None)
-        sp.add_argument("--approximate-ok", action="store_true")
     return parser
 
 
@@ -675,8 +688,7 @@ def run_command(argv: List[str]) -> int:
                 f"$.kind: document says {problem.kind!r} but the "
                 f"{args.command!r} subcommand was invoked"
             )
-        report_text, code = _run_parsed(problem, text, args.approximate_ok,
-                                        args.seed, args.tol_gap)
+        report_text, code = _run_parsed(problem, text, args.seed, args.tol_gap)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -27,18 +27,11 @@ from .core import (
     Polytope,
     ToleranceConfig,
 )
-from .gauge import Branch, eval_gauge, eval_gauge_batch, shift, sublinearity_suite
-from .hbl import HblInstance, solve_hbl_jk, solve_hbl_n
-from .mok import check_midpoint, solve_mok
+from .gauge import eval_gauge, sublinearity_suite
+from .hbl import HblInstance, solve_hbl_n
+from .mok import solve_mok
 from .rng import SplitMix64
-from .synth import (
-    FiniteScoredSet,
-    LiftedPolytope,
-    check_scored_midpoint,
-    min_convex_over_polytope,
-    synth_affine_from_scored_set,
-    synth_tight_minorant,
-)
+from .synth import FiniteScoredSet, min_convex_over_polytope, synth_tight_minorant
 
 __all__ = [
     "SplitMix64",

@@ -9,15 +9,20 @@ so the compact formulation is exact and the expanded product piece set is
 only used in tests at tiny sizes.
 
 The scalar-payload form (one sublinear S plus a payload k) is the two-space
-case where the second space is the reals with the identity functional; its
-support set is the single weight 1, so the identity comes out structurally,
-with no tolerance.
+case.  Over a finite key set the second space is the reals with the
+identity functional; its support set is the single weight 1, so the
+identity comes out structurally, with no tolerance.  Over a polytope the
+second space carries the homogenized payload pieces and the keys are the
+vertices, which is exact by the minimax theorem.  One space with no
+payload is `minorant.mok.solve_mok`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .core import (
 )
 from .lp import LpError, solve_lp
 from .scan import MidpointReport, midpoint_scan
-from .synth import GRID_RESOLUTION, _auto_report, _grid_points
+from .synth import _auto_report, _compose, _composed_polytope, min_convex_over_polytope
 
 __all__ = [
     "HblInstance",
@@ -97,12 +102,6 @@ class HblCertificate:
         return abs(self.gap) <= tol.tol_lp
 
 
-def _payload_or_zero(inst: HblInstance) -> np.ndarray:
-    if inst.payload is not None:
-        return inst.payload
-    return np.zeros(inst.nkeys)
-
-
 def check_midpoint_hbl(
     inst: HblInstance,
     tol_mid: float = DEFAULT_TOL.tol_mid,
@@ -116,9 +115,8 @@ def solve_hbl_n(
     inst: HblInstance,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> HblCertificate:
-    """Single LP over one simplex per space maximizing the joint level."""
-    if inst.payload is not None:
-        raise InvalidInput("payload instances go through solve_hbl_jk")
+    """Single LP over one simplex per space maximizing the joint level,
+    payload included."""
     return _solve_product(inst, tol)
 
 
@@ -145,15 +143,13 @@ def _solve_product(
         A_eq[m, offsets[m]:offsets[m + 1]] = 1.0
     b_eq = np.ones(inst.nspaces)
 
-    kv = _payload_or_zero(inst)
-    # Level rows: t - sum_m <L_m, j_m(z)> <= k(z) is wrong sign; we need
-    # sum_m <L_m, j_m(z)> + k(z) >= t  =>  t - sum(...) <= k(z).
+    # Level rows: sum_m <L_m, j_m(z)> + k(z) >= t  =>  t - sum(...) <= k(z).
     A_ub = np.zeros((nz, nv))
     for m, (S, tab) in enumerate(zip(inst.sublinears, inst.tables)):
         A_ub[:, offsets[m]:offsets[m + 1]] = -(tab @ S.pieces.T)
     A_ub[:, nmu] = 1.0
     A_ub[:, nmu + 1] = -1.0
-    b_ub = kv.copy()
+    b_ub = np.zeros(nz) if inst.payload is None else inst.payload
 
     sol = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
     if not sol.is_optimal:
@@ -161,19 +157,20 @@ def _solve_product(
 
     maps: List[LinearMap] = []
     weights: List[np.ndarray] = []
-    lin_side = kv.copy()
-    sub_side = kv.copy()
+    # No zero payload is added when there is none: 0.0 + -0.0 is 0.0.
+    lin_side = [] if inst.payload is None else [inst.payload]
+    sub_side = list(lin_side)
     for m, (S, tab) in enumerate(zip(inst.sublinears, inst.tables)):
         theta = sol.x[offsets[m]:offsets[m + 1]].copy()
         theta[theta < 0.0] = 0.0
         Lm = LinearMap(S.pieces.T @ theta)
         maps.append(Lm)
         weights.append(theta)
-        lin_side = lin_side + tab @ Lm.w
-        sub_side = sub_side + S.batch(tab)
+        lin_side.append(tab @ Lm.w)
+        sub_side.append(S.batch(tab))
 
-    value = float(np.min(lin_side))
-    target = float(np.min(sub_side))
+    value = float(np.min(functools.reduce(np.add, lin_side)))
+    target = float(np.min(functools.reduce(np.add, sub_side)))
     if midpoint is None:
         midpoint = check_midpoint_hbl(inst, tol.tol_mid)
     return HblCertificate(
@@ -192,45 +189,34 @@ def solve_hbl_jk(
     k: Union[np.ndarray, AffineMap, MaxAffineFn],
     Z: Union[None, Polytope] = None,
     tol: ToleranceConfig = DEFAULT_TOL,
-    grid_resolution: int = GRID_RESOLUTION,
-) -> Tuple[HblCertificate, bool]:
+) -> HblCertificate:
     """Scalar-payload form: linear L <= S with
     inf_Z [L o j + k] = inf_Z [S o j + k] under the midpoint condition.
 
     Finite form: j is an (nz, d) table and k an (nz,) table.  Polytope form:
-    j affine and k affine reduce exactly to vertices; a max-affine
-    non-affine k is grid-discretized and the second return flags the result
-    as approximate.
+    j affine and k = max_l(<c_l, z> + d_l) affine or max-affine.  The second
+    space then has the pieces [c_l, d_l] over the vertex table [v, 1]; for
+    fixed weights the bracket is affine in z, so by the minimax theorem the
+    vertex rows give the exact value.
     """
-    approximate = False
-    midpoint = None
     if isinstance(Z, Polytope):
-        if not isinstance(j, AffineTransform):
-            raise InvalidInput("polytope form needs an affine composition map")
-        if j.dim_in != Z.dim or j.dim_out != S.dim:
-            raise InvalidInput("composition map dimensions do not match")
-        if isinstance(k, AffineMap):
-            Zpts = Z.vertices
-        elif isinstance(k, MaxAffineFn):
-            Zpts = _grid_points(Z, grid_resolution)
-            approximate = True
-        else:
-            raise InvalidInput("polytope form needs an affine or max-affine payload")
-        j_table = Zpts @ j.matrix.T + j.offset
-        k_table = k.batch(Zpts)
+        jV, K = _composed_polytope(Z, j, k, S.dim)
+        V = Z.vertices
+        inst = HblInstance(
+            sublinears=[S, PolyhedralSublinear(np.column_stack([K.slopes, K.offsets]))],
+            tables=[jV, np.column_stack([V, np.ones(len(V))])],
+        )
         # The polytope itself satisfies the condition through literal
-        # midpoints; its vertices or grid points as a finite set need not.
-        midpoint = _auto_report()
-    else:
-        j_table = np.asarray(j, dtype=np.float64).reshape(-1, S.dim)
-        k_table = np.asarray(k, dtype=np.float64).reshape(-1)
+        # midpoints; its vertices as a finite set need not.
+        cert = _solve_product(inst, tol, _auto_report())
+        # S o j + k may be least inside Z, not at a vertex.
+        _, target = min_convex_over_polytope(
+            _compose(S.pieces, np.zeros(S.npieces), j, K), V)
+        return dataclasses.replace(cert, target=target, gap=target - cert.value)
 
     # Second space: the reals with the identity functional.  Its only piece
     # is the weight 1, so the LP returns the identity exactly.
     identity = PolyhedralSublinear(np.array([[1.0]]))
-    inst = HblInstance(
-        sublinears=[S, identity],
-        tables=[j_table, k_table.reshape(-1, 1)],
-    )
-    cert = _solve_product(inst, tol, midpoint)
-    return cert, approximate
+    j_table = np.asarray(j, dtype=np.float64).reshape(-1, S.dim)
+    k_table = np.asarray(k, dtype=np.float64).reshape(-1, 1)
+    return _solve_product(HblInstance([S, identity], [j_table, k_table]), tol)

@@ -24,10 +24,10 @@ from .core import (
     ToleranceConfig,
     as_vector,
 )
-from .lp import LpError, LpSolution, solve_lp
+from .hbl import HblInstance, _solve_product
 from .scan import MidpointReport, midpoint_scan
 
-__all__ = ["MidpointReport", "MokCertificate", "check_midpoint", "solve_mok", "solve_lp"]
+__all__ = ["MidpointReport", "MokCertificate", "check_midpoint", "solve_mok"]
 
 
 @dataclass(frozen=True)
@@ -71,43 +71,17 @@ def solve_mok(
 ) -> MokCertificate:
     """Maximize inf_D L over linear L dominated by S.
 
-    LP variables are simplex weights theta over the pieces of S plus a split
-    free level t; constraints enforce <L, d> >= t for every d in D.
+    This is the one-space product LP of `minorant.hbl`: simplex weights
+    theta over the pieces of S plus a free level t, with <L, d> >= t for
+    every d in D.
     """
-    pts = _as_point_rows(D, S.dim)
-    k = pts.shape[0]
-    p = S.npieces
-    G = pts @ S.pieces.T           # G[d, i] = <l_i, d>
-
-    # Variables: theta_1..theta_p, t_plus, t_minus (all >= 0).
-    nv = p + 2
-    c = np.zeros(nv)
-    c[p] = 1.0
-    c[p + 1] = -1.0
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :p] = 1.0
-    b_eq = np.array([1.0])
-    A_ub = np.zeros((k, nv))
-    A_ub[:, :p] = -G
-    A_ub[:, p] = 1.0
-    A_ub[:, p + 1] = -1.0
-    b_ub = np.zeros(k)
-
-    sol = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
-    if not sol.is_optimal:
-        raise LpError(f"mok LP ended with status {sol.status}")
-
-    theta = sol.x[:p].copy()
-    theta[theta < 0.0] = 0.0
-    L = LinearMap(S.pieces.T @ theta)
-    value = float(np.min(pts @ L.w))
-    target = float(np.min(np.max(G, axis=1)))
     midpoint = check_midpoint(S, D, tol.tol_mid)
+    cert = _solve_product(HblInstance([S], [_as_point_rows(D, S.dim)]), tol, midpoint)
     return MokCertificate(
-        L=L,
-        weights=theta,
-        value=value,
-        target=target,
-        gap=target - value,
+        L=cert.maps[0],
+        weights=cert.weights[0],
+        value=cert.value,
+        target=cert.target,
+        gap=cert.gap,
         midpoint=midpoint,
     )

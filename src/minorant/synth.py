@@ -6,7 +6,7 @@ infimum over B equals that of f, together with a machine-checkable
 certificate.  Specializations: supporting an arbitrary point exactly,
 minorants tight over a finite set or polytope (score identically zero), and
 the convex-affine Lagrange form with a composition map j and a scalar
-payload k.
+payload k, affine or max-affine.
 
 The mechanism: the linear maps (x, alpha) -> <Lam, x> - lam * alpha that are
 dominated by the epigraph gauge of the shifted f are exactly the projections
@@ -17,8 +17,8 @@ yields lam > 0 and A = Lam/lam - 1/lam + f(0) + 1.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from math import comb
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -60,14 +60,10 @@ __all__ = [
     "min_convex_over_polytope",
     "synth_composed_minorant",
     "DOMINATION_SAMPLES",
-    "GRID_RESOLUTION",
-    "grid_steps",
 ]
 
 DOMINATION_SAMPLES = 10_000
 DOMINATION_BOX = 10.0       # domination samples drawn uniformly from [-10, 10]^d
-GRID_RESOLUTION = 256       # barycentric grid steps for the approximate path
-_GRID_POINT_CAP = 500_000   # coarsen rather than enumerate beyond this
 
 
 class DegenerateLambda(RuntimeError):
@@ -165,7 +161,7 @@ class SynthCertificate:
     t_star: float                    # LP level; >= 1 - tol_lp when exact
     domination: DominationReport
     condition: MidpointReport
-    approximate: bool = False
+    approximate: bool = False        # always False; kept in the report format
     fallback: Optional[str] = None   # always None; kept in the report format
 
     def within(self, tol: ToleranceConfig) -> bool:
@@ -280,36 +276,49 @@ def _domination_report(F: MaxAffineFn, A: AffineMap, seed: int = 20240817) -> Do
 
 def _synth_pipeline(
     F: MaxAffineFn,
-    constraint_points: np.ndarray,
-    constraint_scores: np.ndarray,
+    points: np.ndarray,
+    scores: np.ndarray,
     delta: float,
     condition: MidpointReport,
-    lhs_points: np.ndarray,
-    lhs_scores: np.ndarray,
     tol: ToleranceConfig,
-    approximate: bool = False,
+    spread: Optional[np.ndarray] = None,
 ) -> SynthCertificate:
     """Shared LP core: maximize the lifted level over the gauge support set
-    subject to one row per constraint pair."""
+    subject to one row per constraint point.
+
+    A payload k = max_l k_l of q > 1 pieces over a polytope comes in as the
+    vertex rows `scores` = k_1(v) and `spread` = k_l(v) - k_1(v), l >= 2.
+    For fixed weights the row is affine in z, so by the minimax theorem the
+    payload's share of a row is sum_l pi_l k_l(v) over pi >= 0 with
+    sum pi = lam.  Substituting pi_1 = lam - sum_{l>=2} pi_l leaves
+    lam * k_1(v) in the mu coefficients, adds one column per further piece
+    and the row sum_{l>=2} pi_l <= lam; one piece adds nothing.
+    """
     f0 = F.value_at_origin()
     system = build_gauge_support_lp(shift(F))
     p = F.npieces
-    eta = delta - constraint_scores - f0 - 1.0
+    r = 0 if spread is None else spread.shape[1]
+    eta = delta - scores - f0 - 1.0
     # Row coefficients of mu_i in <Lam, b> - lam * eta_b: <a_i, b> - eta_b.
-    coeff = constraint_points @ F.slopes.T - eta[:, None]
+    coeff = points @ F.slopes.T - eta[:, None]
 
-    nv = p + 2  # mu_1..mu_p, t_plus, t_minus
+    n = coeff.shape[0]
+    nv = p + r + 2  # mu_1..mu_p, pi_2..pi_q, t_plus, t_minus
     c = np.zeros(nv)
-    c[p] = 1.0
-    c[p + 1] = -1.0
-    n_rows = coeff.shape[0] + 1
+    c[p + r] = 1.0
+    c[p + r + 1] = -1.0
+    n_rows = n + 1 + (r > 0)
     A_ub = np.zeros((n_rows, nv))
     b_ub = np.zeros(n_rows)
     A_ub[0, :p] = system.neg_shifted_offsets
     b_ub[0] = 1.0
-    A_ub[1:, :p] = -coeff
-    A_ub[1:, p] = 1.0
-    A_ub[1:, p + 1] = -1.0
+    A_ub[1:n + 1, :p] = -coeff
+    A_ub[1:n + 1, p + r] = 1.0
+    A_ub[1:n + 1, p + r + 1] = -1.0
+    if r:
+        A_ub[1:n + 1, p:p + r] = -spread
+        A_ub[n + 1, :p] = -1.0
+        A_ub[n + 1, p:p + r] = 1.0
 
     sol = solve_lp(c, A_ub, b_ub)
     if not sol.is_optimal:
@@ -323,7 +332,7 @@ def _synth_pipeline(
     w = lifted.Lam.w / lam
     A = AffineMap(w, -1.0 / lam + f0 + 1.0)
 
-    lhs = float(np.min(lhs_points @ A.w + A.c + lhs_scores))
+    lhs = float(np.min(points @ A.w + A.c + scores))
     return SynthCertificate(
         affine=A,
         lifted=lifted,
@@ -335,7 +344,6 @@ def _synth_pipeline(
         t_star=float(sol.value),
         domination=_domination_report(F, A),
         condition=condition,
-        approximate=approximate,
     )
 
 
@@ -369,7 +377,7 @@ def _synth_scored(
         pts, sc = B.points, B.scores
     else:
         pts, sc = B.polytope.vertices, B.vertex_scores()
-    return _synth_pipeline(F, pts, sc, delta, condition, pts, sc, tol)
+    return _synth_pipeline(F, pts, sc, delta, condition, tol)
 
 
 def _synth_finite(F: MaxAffineFn, B: FiniteScoredSet, tol: ToleranceConfig) -> SynthCertificate:
@@ -404,39 +412,35 @@ def synth_tight_minorant(
     return _synth_finite(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
 
 
-def _barycentric_grid(nparts: int, steps: int) -> np.ndarray:
-    """All weight vectors with entries i/steps summing to 1 (rows)."""
-    if nparts == 1:
-        return np.ones((1, 1))
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for i in range(remaining + 1):
-            rec(prefix + [i], remaining - i, slots - 1)
-
-    rec([], steps, nparts)
-    return np.asarray(out, dtype=np.float64) / steps
-
-
-def grid_steps(nvertices: int, resolution: int) -> Tuple[int, int]:
-    """Steps and point count of the grid `_grid_points` builds: `resolution`
-    steps, halved while the compositions of the steps into `nvertices` parts
-    number more than _GRID_POINT_CAP."""
-    steps = resolution
-    while steps > 1 and comb(steps + nvertices - 1, nvertices - 1) > _GRID_POINT_CAP:
-        steps //= 2
-    return steps, comb(steps + nvertices - 1, nvertices - 1)
+def _composed_polytope(
+    Z: Polytope,
+    j: Union[np.ndarray, AffineTransform],
+    k: Union[np.ndarray, AffineMap, MaxAffineFn],
+    dim_out: int,
+) -> Tuple[np.ndarray, MaxAffineFn]:
+    """Check a composed polytope form and return the images j(v) of the
+    vertices and the payload as max-affine pieces (an affine k is one)."""
+    if not isinstance(j, AffineTransform):
+        raise InvalidInput("polytope form needs an affine composition map")
+    if j.dim_in != Z.dim or j.dim_out != dim_out:
+        raise InvalidInput("composition map dimensions do not match")
+    if isinstance(k, AffineMap):
+        k = MaxAffineFn(k.w.reshape(1, -1), [k.c])
+    elif not isinstance(k, MaxAffineFn):
+        raise InvalidInput("polytope form needs an affine or max-affine payload")
+    if k.dim != Z.dim:
+        raise InvalidInput("payload dimension does not match the polytope")
+    return Z.vertices @ j.matrix.T + j.offset, k
 
 
-def _grid_points(poly: Polytope, resolution: int) -> np.ndarray:
-    """Barycentric grid sample of a polytope, coarsened if the vertex count
-    would make the full grid explode."""
-    steps, _ = grid_steps(poly.nvertices, resolution)
-    W = _barycentric_grid(poly.nvertices, steps)
-    return W @ poly.vertices
+def _compose(slopes: np.ndarray, offsets: np.ndarray, j: AffineTransform,
+             k: MaxAffineFn) -> MaxAffineFn:
+    """The pieces of z -> max_i(<a_i, j(z)> + b_i) + k(z), one per pair of
+    pieces (i, l) in row-major order."""
+    return MaxAffineFn(
+        ((slopes @ j.matrix)[:, None, :] + k.slopes).reshape(-1, k.dim),
+        ((slopes @ j.offset + offsets)[:, None] + k.offsets).reshape(-1),
+    )
 
 
 def synth_composed_minorant(
@@ -445,46 +449,29 @@ def synth_composed_minorant(
     k: Union[np.ndarray, AffineMap, MaxAffineFn],
     Z: Union[int, Polytope],
     tol: ToleranceConfig = DEFAULT_TOL,
-    grid_resolution: int = GRID_RESOLUTION,
 ) -> SynthCertificate:
     """Affine A <= f with inf_Z [A o j + k] = inf_Z [f o j + k].
 
     Finite form: Z is the table length, j an (n, d) value table, k an (n,)
     value table; the midpoint-recession condition is checked on the scored
-    pairs.  Polytope form: j affine and k affine give an exact vertex
-    reduction; a max-affine non-affine k is handled by barycentric grid
-    discretization and the certificate is marked approximate.
+    pairs.  Polytope form: j affine and k affine or max-affine; the LP has
+    one row per vertex and one weight per further payload piece, which is
+    exact by the minimax theorem (see `_synth_pipeline`).
     """
     if isinstance(Z, Polytope):
-        if not isinstance(j, AffineTransform):
-            raise InvalidInput("polytope form needs an affine composition map")
-        if j.dim_in != Z.dim or j.dim_out != F.dim:
-            raise InvalidInput("composition map dimensions do not match")
-        if isinstance(k, AffineMap):
-            if k.dim != Z.dim:
-                raise InvalidInput("payload dimension does not match the polytope")
-            # Exact: everything is affine in z, so vertices carry the LP.
-            V = Z.vertices
-            pts = V @ j.matrix.T + j.offset
-            sc = k.batch(V)
-            composed = MaxAffineFn(
-                F.slopes @ j.matrix + k.w,
-                F.slopes @ j.offset + F.offsets + k.c,
-            )
-            z_star, _ = min_convex_over_polytope(composed, V)
-            delta = float(composed(z_star))
-            return _synth_pipeline(F, pts, sc, delta, _auto_report(), pts, sc, tol)
-        if isinstance(k, MaxAffineFn):
-            if k.dim != Z.dim:
-                raise InvalidInput("payload dimension does not match the polytope")
-            Zg = _grid_points(Z, grid_resolution)
-            pts = Zg @ j.matrix.T + j.offset
-            sc = k.batch(Zg)
-            delta = float(np.min(F.batch(pts) + sc))
-            return _synth_pipeline(
-                F, pts, sc, delta, _auto_report(), pts, sc, tol, approximate=True
-            )
-        raise InvalidInput("polytope form needs an affine or max-affine payload")
+        pts, K = _composed_polytope(Z, j, k, F.dim)
+        V = Z.vertices
+        # Piece by piece, so an affine k gives exactly the old k.batch(V).
+        KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
+        _, delta = min_convex_over_polytope(_compose(F.slopes, F.offsets, j, K), V)
+        cert = _synth_pipeline(F, pts, KV[:, 0], delta, _auto_report(), tol,
+                               KV[:, 1:] - KV[:, :1])
+        if K.npieces == 1:
+            return cert
+        # With more than one piece, A o j + k may be least inside Z.
+        A = cert.affine
+        _, lhs = min_convex_over_polytope(_compose(A.w[None], np.array([A.c]), j, K), V)
+        return dataclasses.replace(cert, lhs=lhs, gap=lhs - delta)
 
     j_table = np.asarray(j, dtype=np.float64).reshape(-1, F.dim)
     k_table = np.asarray(k, dtype=np.float64).reshape(-1)

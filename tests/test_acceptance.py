@@ -262,8 +262,7 @@ def test_c8_hbl_product_consistency(capsys):
         worst = max(worst, abs(cert.value - ref))
 
     abs_s = PolyhedralSublinear(np.array([[1.0], [-1.0]]))
-    slack, _ = solve_hbl_jk(abs_s, np.array([[0.0], [1.0]]),
-                            np.array([0.0, -10.0]))
+    slack = solve_hbl_jk(abs_s, np.array([[0.0], [1.0]]), np.array([0.0, -10.0]))
     identity_exact = (slack.weights[1][0] == 1.0 and slack.maps[1].w[0] == 1.0)
     slack_ok = abs(slack.value - (-9.0)) <= 1e-8
 

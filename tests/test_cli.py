@@ -28,7 +28,7 @@ MOK_BAD_DOC = doc("solve-mok", {"s": ABS_S, "d": [[-1.0], [1.0]]})
 # the satisfied example is a singleton.
 MOK_OK_DOC = doc("solve-mok", {"s": ABS_S, "d": [[1.0]]})
 SUN_DOC = doc("synth-sun", {"f": ABS_F, "z": {"vertices": [[1.0], [3.0]]}})
-CAHBL_APPROX_DOC = doc("synth-cahbl", {
+CAHBL_MAXAFFINE_DOC = doc("synth-cahbl", {
     "f": ABS_F,
     "z": {
         "vertices": [[0.0], [1.0]],
@@ -146,8 +146,8 @@ class TestExitCodes:
         (MOK_OK_DOC, "solve-mok", [], EXIT_OK),
         (MOK_BAD_DOC, "solve-mok", [], EXIT_HYPOTHESIS),
         (SUN_DOC, "synth-sun", [], EXIT_OK),
-        (CAHBL_APPROX_DOC, "synth-cahbl", [], EXIT_NUMERICAL),
-        (CAHBL_APPROX_DOC, "synth-cahbl", ["--approximate-ok"], EXIT_OK),
+        (CAHBL_MAXAFFINE_DOC, "synth-cahbl", [], EXIT_OK),
+        (CAHBL_MAXAFFINE_DOC, "synth-cahbl", ["--approximate-ok"], EXIT_SCHEMA),
         ("{bad json", "eval-gauge", [], EXIT_SCHEMA),
         (GAUGE_DOC, "solve-mok", [], EXIT_SCHEMA),  # kind/subcommand mismatch
     ]
@@ -165,15 +165,18 @@ class TestExitCodes:
     def test_missing_input_file(self, capsys):
         assert run_command(["eval-gauge", "--input", "/no/such/file"]) == EXIT_SCHEMA
 
-    def test_approximate_error_marker(self, tmp_path, capsys):
+    def test_max_affine_payload_is_exact(self, tmp_path, capsys):
         path = tmp_path / "in.json"
-        path.write_text(CAHBL_APPROX_DOC)
+        path.write_text(CAHBL_MAXAFFINE_DOC)
         code = run_command(["synth-cahbl", "--input", str(path)])
-        assert code == EXIT_NUMERICAL
+        assert code == EXIT_OK
         rep = json.loads(capsys.readouterr().out)
-        assert rep["status"] == "numerical-failure"
-        assert rep["certificate"]["error"] == "approximate-not-allowed"
-        assert rep["certificate"]["approximate"] is True
+        cert = rep["certificate"]
+        assert rep["status"] == "ok" and "error" not in cert
+        assert cert["approximate"] is False
+        # inf over [0, 1] of |z| + |z - 1/2| is 1/2.
+        assert cert["delta"] == pytest.approx(0.5, abs=1e-12)
+        assert cert["lhs"] == pytest.approx(0.5, abs=1e-12)
 
     def test_output_file(self, tmp_path):
         src = tmp_path / "in.json"
@@ -368,6 +371,8 @@ SCHEMA_CASES = [
      "$.tolerances.tol_lp: expected a number"),
     ("tolerance-finite", GAUGE_DOC.replace("}}", '}, "tolerances": {"tol_gauge": NaN}}'),
      "$.tolerances.tol_gauge: number must be finite"),
+    ("number-overflow", GAUGE_DOC.replace('"alpha": 1.0', '"alpha": 1' + "0" * 400),
+     "$.payload.alpha: number must be finite"),
     ("seed-integer", _malformed("gen", {}, seed=1.5), "$.seed: expected an integer"),
     ("seed-bool", _malformed("gen", {}, seed=True), "$.seed: expected an integer"),
     ("payload-object", json.dumps({"version": 1, "kind": "gen", "payload": []}),
@@ -564,12 +569,23 @@ SCHEMA_CASES = [
     ("gen-missing", _malformed("gen", {"instance": "polytope"}), "$.payload.dims: missing required field"),
     ("gen-instance", _malformed("gen", {"instance": "nope", "dims": {}}),
      "$.payload.instance: unknown instance kind"),
+    ("gen-instance-type", _malformed("gen", {"instance": [], "dims": {}}),
+     "$.payload.instance: unknown instance kind"),
     ("gen-dims", _malformed("gen", {"instance": "polytope", "dims": [3]}),
      "$.payload.dims: expected an object"),
     ("gen-dim-integer", _malformed("gen", {"instance": "polytope", "dims": {"d": "3"}}),
      "$.payload.dims.d: expected an integer"),
     ("gen-dim-positive", _malformed("gen", {"instance": "polytope", "dims": {"d": 3, "v": 0}}),
      "$.payload.dims.v: must be >= 1"),
+    ("gen-max-affine-dims", _malformed("gen", {"instance": "max_affine", "dims": {"d": 3}}),
+     "$.payload.dims.p: missing required field"),
+    ("gen-polytope-dims", _malformed("gen", {"instance": "polytope", "dims": {"d": 2, "v": 3,
+                                                                              "k": 1}}),
+     "$.payload.dims.k: unknown field"),
+    ("gen-scored-set-dims", _malformed("gen", {"instance": "scored_set", "dims": {"d": 2}}),
+     "$.payload.dims.k: missing required field"),
+    ("gen-hbl-dims", _malformed("gen", {"instance": "hbl", "dims": {"n": 2, "d": 2, "p": 3}}),
+     "$.payload.dims.nz: missing required field"),
 ]
 
 
@@ -660,7 +676,7 @@ def _golden_documents():
             "k": fn(2, 1)}}, {}, []),
         "cahbl-polytope-max-affine-ok": ("synth-cahbl", {"f": fn(3, 2), "z": {
             "vertices": [[-1.0], [0.5]], "j": {"matrix": r(2, 1).tolist(), "offset": r(2).tolist()},
-            "k": fn(2, 1)}}, {}, ["--approximate-ok"]),
+            "k": fn(2, 1)}}, {}, []),
         "hbl-product": ("solve-hbl", {
             "sublinears": [{"pieces": tilted(3, 2, tu[0])}, {"pieces": tilted(4, 3, tu[1])}],
             "tables": [line(5, 2, tu[0]), line(5, 3, tu[1])]}, {}, []),
@@ -679,7 +695,7 @@ def _golden_documents():
         "hbl-polytope-max-affine": ("solve-hbl", {
             "s": {"pieces": r(3, 2).tolist()}, "vertices": [[0.0], [2.0]],
             "j": {"matrix": r(2, 1).tolist(), "offset": r(2).tolist()}, "k": fn(3, 1)},
-            {}, ["--approximate-ok"]),
+            {}, []),
         "verify": ("verify", {"suites": ["gauge_closed_form", "mok"],
                               "trials": {"gauge_closed_form": 3, "mok": 2}}, {"seed": 7}, []),
         "gen-max-affine": ("gen", {"instance": "max_affine", "dims": {"d": 2, "p": 3}},
@@ -705,8 +721,8 @@ GOLDEN = {
     "affine-polytope": ("f3e617fddbd58dc0c5220d7e372ad16bce236145b1c9c038dd78c51750ea08bc", 0),
     "cahbl-finite": ("244704782c09aa3caccb07d2e267c6e39d94f48aa7170bfdc0b19632b8256c81", 0),
     "cahbl-polytope-affine": ("031cb7c0a629459219c53aab0190dab72855ccd5748138ab7672885d7f1984d5", 0),
-    "cahbl-polytope-max-affine": ("1a1b7858e62b1784a8f633954bc4d2075ee36045be676ad3646afda40fe1f57e", 2),
-    "cahbl-polytope-max-affine-ok": ("7bd86cd9d5e3fdcc3474b38ada5078d58c67fe106523894f8965306f83969cac", 0),
+    "cahbl-polytope-max-affine": ("c3012de4b9679c1d1fa3e00b7d2e0ca175dcdf554eb1c4c7ccd61fed6f9a0ccb", 0),
+    "cahbl-polytope-max-affine-ok": ("5580cc3ff443e2d8d61a37fc6d9fab584c00f640f73f58bb23f86a64ae53da32", 0),
     "gauge-root": ("e9fa3421da02c2e4e407ac919a9e07b89d98341c0bd03d9aa56203921a46bfc9", 0),
     "gauge-zero": ("27b14ca7b6b8be95caa6dccaff85c540c2be00dedca8f8186bf55ba2c11eef06", 0),
     "gen-hbl": ("ed127b92adeb46a42910c93cf2baf1a1a2c6010994524b1e9aec20b882ffb195", 0),
@@ -715,8 +731,8 @@ GOLDEN = {
     "gen-scored-set": ("b16d7bdc98baf4f1e61e0e4ab9a81820e807f337f6de5ed708bf0553638fbeec", 0),
     "hbl-finite": ("2e30b958b61c274efa09bbf1d3f89f3d493cdba45c67fe32723d17d3bfa8d8fb", 0),
     "hbl-finite-violated": ("4f6610a8fb82674227b14455bdfcf9e9e81b788d838d48dbe2ddc282a33c9c49", 1),
-    "hbl-polytope-affine": ("e9434138f842066ecf2093b858802277127ee8e56f5b092a1b067f5d28a79f09", 2),
-    "hbl-polytope-max-affine": ("070315154ccaf4c3a374b9854c12061ecc3cd6ae553788560e695659593d2bd7", 0),
+    "hbl-polytope-affine": ("a9bb5d1df2078bb4b71b88fe3c2f0debaea5443857b3bcd816aa277711751242", 0),
+    "hbl-polytope-max-affine": ("bf7fdb10fe71da30ed9395242eff39aa91d2983df8e3e490f54a48e4ab4d2432", 0),
     "hbl-product": ("ca23b5e0999575fa48895f74c87ca2b5019dbafb65571b96c9ed49ba40b5ff63", 0),
     "hbl-product-payload": ("c58d45cc1543bbea6dc95a9f49018f6b7d0b0da9cd4a0f78deff184178151a35", 0),
     "mok-satisfied": ("ad51ff46da1787c7776845e5b530102ffff1d6d2a5d4393113ab181be33ccc90", 0),
@@ -744,6 +760,14 @@ class TestGoldenReports:
 
     def test_every_document_is_pinned(self):
         assert sorted(_golden_documents()) == sorted(GOLDEN)
+
+    def test_hbl_polytope_affine_is_exact(self):
+        # inf_Z [S o j + k] lies inside Z here, not at a vertex.
+        kind, text, flags = _golden_documents()["hbl-polytope-affine"]
+        report, code = run_problem_text(text)
+        cert = json.loads(report)["certificate"]
+        assert code == EXIT_OK
+        assert abs(cert["target"] - cert["value"]) <= 1e-9
 
 
 class TestGaugeTolerance:
@@ -801,15 +825,18 @@ class TestParserOnce:
         seen = []
         real = cli._run_parsed
 
-        def spy(problem, text, approximate_ok, seed, tol_gap):
-            seen.append((approximate_ok, seed, tol_gap))
-            return real(problem, text, approximate_ok, seed, tol_gap)
+        def spy(problem, text, seed, tol_gap):
+            seen.append((seed, tol_gap))
+            return real(problem, text, seed, tol_gap)
 
         monkeypatch.setattr(cli, "_run_parsed", spy)
-        assert self._run(tmp_path, SUN_DOC, "synth-sun", "--seed", "5", "--tol-gap", "1e-300",
-                         "--approximate-ok") == EXIT_OK
+        assert self._run(tmp_path, SUN_DOC, "synth-sun", "--seed", "5",
+                         "--tol-gap", "1e-300") == EXIT_OK
         assert self._run(tmp_path, SUN_DOC, "synth-sun") == EXIT_OK
-        assert seen == [(True, 5, 1e-300), (False, None, None)]
+        assert seen == [(5, 1e-300), (None, None)]
+        # The flag of the deleted grid path is an unknown argument.
+        assert self._run(tmp_path, SUN_DOC, "synth-sun", "--approximate-ok") == EXIT_SCHEMA
+        assert len(seen) == 2
 
     def test_errors_do_not_carry_over(self, tmp_path, capsys):
         assert run_command(["no-such-command"]) == EXIT_SCHEMA
@@ -865,34 +892,34 @@ class TestWorkBudget:
                                   f"{cli.MAX_TABLEAU_CELLS + 1} cells exceeds the cap "
                                   f"{cli.MAX_TABLEAU_CELLS}")
 
-    def test_grid_count_is_shared(self):
-        from minorant import synth
-        from minorant.core import Polytope
-
-        for nvertices, resolution in ((1, 256), (2, 256), (3, 7), (4, 16), (9, 256)):
-            poly = Polytope([[float(i == j) for j in range(nvertices)] for i in range(nvertices)])
-            steps, count = synth.grid_steps(nvertices, resolution)
-            assert synth._grid_points(poly, resolution).shape[0] == count
-        assert synth.grid_steps(3, 256) == (256, 33153)
-
-    def test_triangle_grid_rejected_before_allocation(self, monkeypatch):
-        from minorant import synth
-
-        def no_grid(*args):
-            raise AssertionError("the grid was built")
-
-        monkeypatch.setattr(synth, "_barycentric_grid", no_grid)
+    def test_triangle_documents_solve_exactly(self):
+        # inf over the triangle of |z_1| + max(z_1, z_2) is 0, at the origin.
         triangle = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         j = {"matrix": [[1.0, 0.0]], "offset": [0.0]}
         k = {"pieces": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [0.0, 1.0], "b": 0.0}]}
-        for kind, payload, path in (
+        for kind, payload, sides in (
             ("synth-cahbl", {"f": ABS_F, "z": {"vertices": triangle, "j": j, "k": k}},
-             "$.payload.z.vertices"),
+             ("delta", "lhs")),
             ("solve-hbl", {"s": ABS_S, "vertices": triangle, "j": j, "k": k},
-             "$.payload.vertices"),
+             ("target", "value")),
         ):
-            with pytest.raises(SchemaError, match=r"^" + re.escape(path) + ": LP tableau of"):
-                parse_problem(doc(kind, payload))
+            text, code = run_problem_text(doc(kind, payload))
+            cert = json.loads(text)["certificate"]
+            assert code == EXIT_OK and cert["approximate"] is False
+            for side in sides:
+                assert cert[side] == pytest.approx(0.0, abs=1e-12)
+
+    def test_gen_cap(self):
+        from minorant import cli
+
+        def gen(v):
+            return doc("gen", {"instance": "polytope", "dims": {"d": 1, "v": v}})
+
+        assert parse_problem(gen(cli.MAX_TABLEAU_CELLS)).args[1]["v"] == cli.MAX_TABLEAU_CELLS
+        with pytest.raises(SchemaError) as err:
+            parse_problem(gen(cli.MAX_TABLEAU_CELLS + 1))
+        assert str(err.value) == (f"$.payload.dims: instance of {cli.MAX_TABLEAU_CELLS + 1} "
+                                  f"floats exceeds the cap {cli.MAX_TABLEAU_CELLS}")
 
     def test_finite_forms_checked(self):
         from minorant import cli
@@ -939,5 +966,5 @@ class TestWorkBudget:
         for module in (mok, synth, hbl):
             monkeypatch.setattr(module, "midpoint_scan", scan)
         kind, text, flags = _golden_documents()[name]
-        run_problem_text(text, approximate_ok=True)
+        run_problem_text(text)
         assert estimated == [(built["scan"], built["cells"])]

@@ -32,10 +32,15 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInput):
             HblInstance([abs_sub], [np.zeros((2, 1))], payload=np.zeros(3))
 
-    def test_payload_rejected_by_n_solver(self, abs_sub):
-        inst = HblInstance([abs_sub], [np.zeros((2, 1))], payload=np.zeros(2))
-        with pytest.raises(InvalidInput):
-            solve_hbl_n(inst)
+    def test_payload_accepted_by_n_solver(self, abs_sub):
+        # The payload-slack instance of TestSolveJk as a one-space product
+        # with a payload: the same value, -9.
+        inst = HblInstance([abs_sub], [np.array([[0.0], [1.0]])],
+                           payload=np.array([0.0, -10.0]))
+        cert = solve_hbl_n(inst)
+        assert cert.value == pytest.approx(-9.0, abs=1e-12)
+        assert cert.target == -9.0
+        assert cert.midpoint.satisfied
 
 
 class TestMidpointHbl:
@@ -62,9 +67,7 @@ class TestMidpointHbl:
 
 class TestSolveJk:
     def test_payload_slack_value(self, abs_sub):
-        cert, approx = solve_hbl_jk(abs_sub, np.array([[0.0], [1.0]]),
-                                    np.array([0.0, -10.0]))
-        assert not approx
+        cert = solve_hbl_jk(abs_sub, np.array([[0.0], [1.0]]), np.array([0.0, -10.0]))
         # Best linear L in [-1, 1]: L = 1 gives min(0, 1 - 10) = -9 = target.
         assert cert.value == pytest.approx(-9.0, abs=1e-8)
         assert cert.target == pytest.approx(-9.0)
@@ -72,8 +75,7 @@ class TestSolveJk:
         assert cert.maps[0].w == pytest.approx([1.0])
 
     def test_identity_space_forced_exactly(self, abs_sub):
-        cert, _ = solve_hbl_jk(abs_sub, np.array([[0.0], [1.0]]),
-                               np.array([0.0, -10.0]))
+        cert = solve_hbl_jk(abs_sub, np.array([[0.0], [1.0]]), np.array([0.0, -10.0]))
         # The payload space has a single piece, so its weight and map are
         # structurally 1 -- bit-exact, no tolerance.
         assert cert.weights[1][0] == 1.0
@@ -81,51 +83,67 @@ class TestSolveJk:
 
     def test_zero_payload_reduces_to_mok(self, abs_sub):
         D = [np.array([0.5]), np.array([2.0]), np.array([1.5])]
-        cert, _ = solve_hbl_jk(abs_sub, np.vstack(D), np.zeros(3))
+        cert = solve_hbl_jk(abs_sub, np.vstack(D), np.zeros(3))
         mok = solve_mok(abs_sub, D)
         assert cert.value == pytest.approx(mok.value, abs=1e-10)
         assert cert.target == pytest.approx(mok.target, abs=1e-10)
         assert cert.midpoint.satisfied == mok.midpoint.satisfied
 
     def test_polytope_affine_payload(self, abs_sub):
-        cert, approx = solve_hbl_jk(
+        cert = solve_hbl_jk(
             abs_sub,
             AffineTransform(np.array([[1.0]]), np.array([0.0])),
             AffineMap(np.array([-1.0]), 0.0),
             Polytope(np.array([[0.0], [1.0]])),
         )
-        assert not approx
         # inf over [0,1] of |z| - z is 0, attained on the whole segment.
         assert cert.value == pytest.approx(0.0, abs=1e-12)
         assert cert.target == pytest.approx(0.0, abs=1e-12)
 
-    def test_polytope_maxaffine_payload_flags_approximate(self, abs_sub):
+    def test_polytope_maxaffine_payload_exact(self, abs_sub):
+        # inf over [0, 1] of |z| + |z - 1/2| is 1/2, on all of [0, 1/2].
         k = MaxAffineFn(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5]))
-        cert, approx = solve_hbl_jk(
+        cert = solve_hbl_jk(
             abs_sub,
             AffineTransform(np.array([[1.0]]), np.array([0.0])),
             k,
             Polytope(np.array([[0.0], [1.0]])),
         )
-        assert approx
-        assert cert.target == pytest.approx(0.5, abs=1e-2)
+        assert cert.target == pytest.approx(0.5, abs=1e-12)
+        assert cert.value == pytest.approx(0.5, abs=1e-12)
+        assert cert.within(DEFAULT_TOL)
 
     def test_guarantee_property(self, abs_sub):
         # The hypothesis holds and the infima agree; a violated midpoint
         # condition must not count as the guarantee holding.
-        cert, _ = solve_hbl_jk(abs_sub, np.array([[0.0], [1.0]]),
-                               np.array([0.0, -10.0]))
+        cert = solve_hbl_jk(abs_sub, np.array([[0.0], [1.0]]), np.array([0.0, -10.0]))
         assert cert.midpoint.satisfied and cert.within(DEFAULT_TOL)
 
 
 class TestSolveN:
-    def test_single_space_matches_mok(self, abs_sub):
-        D = [np.array([-0.5]), np.array([2.0])]
-        inst = HblInstance([abs_sub], [np.vstack(D)])
-        cert = solve_hbl_n(inst)
-        mok = solve_mok(abs_sub, D)
-        assert cert.value == pytest.approx(mok.value, abs=1e-10)
-        assert cert.target == pytest.approx(mok.target, abs=1e-10)
+    def test_single_space_against_scipy(self):
+        # solve_mok is the one-space product LP, so both are checked against
+        # an independent solver: max t over theta on the simplex with
+        # <S.pieces.T theta, d> >= t for every d in D.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for seed in range(20):
+            rng = SplitMix64(300 + seed)
+            d, p, k = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 6)
+            S = PolyhedralSublinear(rng.uniform_matrix(p, d, -2, 2))
+            D = rng.uniform_matrix(k, d, -2, 2)
+            G = D @ S.pieces.T
+            ref = linprog(np.r_[np.zeros(p), -1.0],
+                          A_ub=np.c_[-G, np.ones(k)], b_ub=np.zeros(k),
+                          A_eq=np.r_[np.ones(p), 0.0].reshape(1, -1), b_eq=[1.0],
+                          bounds=[(0, None)] * p + [(None, None)], method="highs")
+            assert ref.status == 0
+            hbl = solve_hbl_n(HblInstance([S], [D]))
+            mok = solve_mok(S, list(D))
+            for value, theta in ((hbl.value, hbl.weights[0]), (mok.value, mok.weights)):
+                assert value == pytest.approx(-ref.fun, abs=1e-9)
+                assert np.all(theta >= 0) and np.sum(theta) == pytest.approx(1.0, abs=1e-12)
+            target = float(np.min(np.max(G, axis=1)))
+            assert hbl.target == mok.target == target
 
     def test_weights_are_simplex_points(self):
         rng = SplitMix64(7)

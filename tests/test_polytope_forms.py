@@ -1,0 +1,96 @@
+"""Both composed polytope forms are exact: a seeded corpus of segments and
+polygons with payloads of one to three pieces, checked against scipy's
+polytope minimum and the barycentric grid oracle."""
+
+import numpy as np
+import pytest
+
+from minorant.core import AffineMap, AffineTransform, MaxAffineFn, PolyhedralSublinear, Polytope
+from minorant.harness import SplitMix64, grid_min_oracle
+from minorant.hbl import solve_hbl_jk
+from minorant.synth import synth_composed_minorant
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+TOL = 1e-9
+
+
+def _composed(slopes, offsets, j, k):
+    """max over (i, l) of <a_i, j(z)> + b_i + k_l(z), piece by piece."""
+    pieces = [(j.matrix.T @ a + c, a @ j.offset + b + d)
+              for a, b in zip(slopes, offsets) for c, d in zip(k.slopes, k.offsets)]
+    return MaxAffineFn.from_pieces(pieces)
+
+
+def _scipy_min(G, V):
+    """min over conv(V) of G: minimize t over nu on the simplex with
+    <a_i, V^T nu> + b_i <= t for every piece."""
+    v = V.shape[0]
+    res = linprog(np.r_[np.zeros(v), 1.0],
+                  A_ub=np.c_[G.slopes @ V.T, -np.ones(G.npieces)], b_ub=-G.offsets,
+                  A_eq=np.r_[np.ones(v), 0.0].reshape(1, -1), b_eq=[1.0],
+                  bounds=[(0, None)] * v + [(None, None)], method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _grid_min(G, V):
+    return grid_min_oracle(G, V, 1.0 / (256 if V.shape[0] == 2 else 16))
+
+
+def _instances():
+    """40 instances: segments in 1-d and polygons of 3-6 vertices in 2-d,
+    j into 1-3 dimensions, payloads of q = 1-3 pieces (q = 1 alternately as
+    an AffineMap and as a one-piece MaxAffineFn)."""
+    for t in range(40):
+        rng = SplitMix64(9100 + t)
+        dz = 1 + t % 2
+        d = 1 + t % 3
+        q = 1 + (t // 2) % 3
+        if dz == 1:
+            V = np.sort(rng.uniform_matrix(2, 1, -2.0, 2.0), axis=0)
+        else:
+            nv = 3 + (t // 2) % 4
+            angles = np.sort(rng.uniform_vector(nv, 0.0, 2 * np.pi))
+            V = rng.uniform_vector(2, -1.0, 1.0) + 1.5 * np.c_[np.cos(angles), np.sin(angles)]
+        j = AffineTransform(rng.uniform_matrix(d, dz, -2.0, 2.0), rng.uniform_vector(d, -2.0, 2.0))
+        k = MaxAffineFn(rng.uniform_matrix(q, dz, -2.0, 2.0), rng.uniform_vector(q, -2.0, 2.0))
+        payload = AffineMap(k.slopes[0], k.offsets[0]) if q == 1 and t % 4 < 2 else k
+        yield t, V, j, k, payload
+
+
+CORPUS = list(_instances())
+
+
+@pytest.mark.parametrize("t,V,j,k,payload", CORPUS, ids=[f"t{c[0]}" for c in CORPUS])
+def test_synth_composed_is_exact(t, V, j, k, payload):
+    rng = SplitMix64(9200 + t)
+    p = 2 + t % 3
+    F = MaxAffineFn(rng.uniform_matrix(p, j.dim_out, -2.0, 2.0), rng.uniform_vector(p, -2.0, 2.0))
+    cert = synth_composed_minorant(F, j, payload, Polytope(V))
+    fjk = _composed(F.slopes, F.offsets, j, k)
+    assert abs(cert.gap) <= TOL
+    assert cert.t_star >= 1.0 - TOL
+    assert abs(cert.delta - _scipy_min(fjk, V)) <= TOL
+    assert cert.delta <= _grid_min(fjk, V) + 1e-12
+    A = cert.affine
+    assert abs(cert.lhs - _scipy_min(_composed(A.w[None], [A.c], j, k), V)) <= TOL
+    # A <= f exactly: with theta = mu / lam on the simplex, w = slopes^T theta
+    # and c <= theta . offsets.
+    theta = cert.weights / cert.lifted.lam
+    assert np.max(np.abs(F.slopes.T @ theta - A.w)) <= 1e-12
+    assert A.c - theta @ F.offsets <= 1e-12
+
+
+@pytest.mark.parametrize("t,V,j,k,payload", CORPUS, ids=[f"t{c[0]}" for c in CORPUS])
+def test_hbl_polytope_is_exact(t, V, j, k, payload):
+    rng = SplitMix64(9300 + t)
+    S = PolyhedralSublinear(rng.uniform_matrix(2 + t % 3, j.dim_out, -2.0, 2.0))
+    cert = solve_hbl_jk(S, j, payload, Polytope(V))
+    sjk = _composed(S.pieces, np.zeros(S.npieces), j, k)
+    assert abs(cert.gap) <= TOL
+    assert abs(cert.target - _scipy_min(sjk, V)) <= TOL
+    assert cert.target <= _grid_min(sjk, V) + 1e-12
+    theta = cert.weights[0]
+    assert np.all(theta >= 0.0) and abs(np.sum(theta) - 1.0) <= 1e-12
+    assert np.array_equal(cert.maps[0].w, S.pieces.T @ theta)

@@ -242,8 +242,8 @@ class TestComposedMinorant:
         assert cert.rhs == pytest.approx(0.0, abs=1e-12)
         assert not cert.approximate
 
-    def test_polytope_maxaffine_payload_is_approximate(self, abs_fn):
-        # k(z) = |z - 1/2| is convex but not affine: grid discretization.
+    def test_polytope_maxaffine_payload_exact(self, abs_fn):
+        # k(z) = |z - 1/2| is convex but not affine: one more LP weight.
         k = MaxAffineFn(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5]))
         cert = synth_composed_minorant(
             abs_fn,
@@ -251,10 +251,12 @@ class TestComposedMinorant:
             k,
             Polytope(np.array([[0.0], [1.0]])),
         )
-        assert cert.approximate
-        # True min of |z| + |z - 1/2| on [0, 1] is 1/2; grid error only.
-        assert cert.rhs == pytest.approx(0.5, abs=1e-2)
-        assert cert.domination.worst_deficit >= -1e-7
+        assert not cert.approximate
+        # The min of |z| + |z - 1/2| on [0, 1] is 1/2, on all of [0, 1/2].
+        assert cert.delta == pytest.approx(0.5, abs=1e-12)
+        assert cert.lhs == pytest.approx(0.5, abs=1e-12)
+        assert cert.t_star >= 1.0 - 1e-12
+        assert cert.domination.worst_deficit >= -1e-12
 
     def test_condition_violation(self, abs_fn):
         with pytest.raises(ConditionViolated):
