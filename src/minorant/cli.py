@@ -41,7 +41,7 @@ from .core import (
     ToleranceConfig,
 )
 from .gauge import BracketFailure, eval_gauge
-from .harness import ScanExhausted, SuiteConfig, gen_instance, run_property_suite
+from .harness import SUITE_NAMES, ScanExhausted, SuiteConfig, gen_instance, run_property_suite
 from .hbl import HblCertificate, HblInstance, solve_hbl_jk, solve_hbl_n
 from .lp import LpError
 from .mok import MidpointReport, MokCertificate, solve_mok
@@ -161,12 +161,14 @@ def _parse_tolerances(value, path: str) -> ToleranceConfig:
 
 
 # ---------------------------------------------------------------------------
-# Work budget: a document whose solve would exceed either cap is rejected
-# before any solver array is allocated.  The caps sit at least 100x above
-# every test and benchmark document.
+# Work budget: a document whose solve would exceed a cap is rejected before
+# any solver array is allocated.  The caps sit at least 100x above every
+# test and benchmark document.
 
 MAX_SCAN_WORK = 1_000_000_000       # candidate x pair x piece terms of the midpoint scan
 MAX_TABLEAU_CELLS = 16_000_000      # float64 cells of one simplex tableau (128 MB)
+MAX_TRIALS = 1_000                  # trials of one verify suite
+MAX_GEN_FLOATS = 1_000_000          # floats of one generated instance
 
 
 def _lp_cells(n_ub: int, n_eq: int, nvars: int) -> int:
@@ -346,11 +348,18 @@ def _build_verify(payload: dict, path: str) -> tuple:
         suites = obj["suites"]
         if not isinstance(suites, list):
             raise SchemaError(f"{path}.suites: expected an array of names")
+        seen = set()
         for i, s in enumerate(suites):
             if not isinstance(s, str):
                 raise SchemaError(f"{path}.suites[{i}]: expected a string")
-    trials = _ensure_obj(obj.get("trials", {}), f"{path}.trials")
+            if s in seen:  # a repeated suite would run again
+                raise SchemaError(f"{path}.suites[{i}]: duplicate suite")
+            seen.add(s)
+    trials = _take(obj.get("trials", {}), f"{path}.trials", {k: False for k in SUITE_NAMES})
     counts = {k: _integer(v, f"{path}.trials.{k}") for k, v in trials.items()}
+    for k, n in counts.items():
+        if n > MAX_TRIALS:
+            raise SchemaError(f"{path}.trials.{k}: {n} trials exceed the cap {MAX_TRIALS}")
     return obj.get("suites"), counts
 
 
@@ -374,9 +383,9 @@ def _build_gen(payload: dict, path: str) -> tuple:
             raise SchemaError(f"{path}.dims.{k}: must be >= 1")
     _take(dims, f"{path}.dims", {name: True for name in names})
     size = floats(*(dims[name] for name in names))
-    if size > MAX_TABLEAU_CELLS:
+    if size > MAX_GEN_FLOATS:
         raise SchemaError(f"{path}.dims: instance of {size} floats "
-                          f"exceeds the cap {MAX_TABLEAU_CELLS}")
+                          f"exceeds the cap {MAX_GEN_FLOATS}")
     return obj["instance"], dict(dims)
 
 
@@ -511,18 +520,13 @@ def _synth_json(cert: SynthCertificate) -> dict:
         "weights": _vec(cert.weights),
         "delta": cert.delta,
         "lhs": cert.lhs,
-        "rhs": cert.rhs,
         "gap": cert.gap,
         "t_star": cert.t_star,
         "domination": {
             "worst_deficit": cert.domination.worst_deficit,
-            "witness": _vec(cert.domination.witness),
-            "samples": cert.domination.samples,
-            "seed": cert.domination.seed,
+            "slope_residual": cert.domination.slope_residual,
         },
         "condition": _midpoint_json(cert.condition),
-        "approximate": cert.approximate,
-        "fallback": cert.fallback,
     }
 
 
@@ -534,7 +538,6 @@ def _hbl_json(cert: HblCertificate) -> dict:
         "target": cert.target,
         "gap": cert.gap,
         "midpoint": _midpoint_json(cert.midpoint),
-        "approximate": False,
     }
 
 

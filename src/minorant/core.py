@@ -53,7 +53,7 @@ class ToleranceConfig:
     tol_mid: float = 1e-9       # midpoint-condition slack
     tol_lp: float = 1e-8        # LP optimality / guarantee slack
     tol_gap: float = 1e-6       # two-sided infimum agreement for synthesis
-    tol_dom: float = 1e-7       # sampled domination deficit
+    tol_dom: float = 1e-7       # exact residuals of A <= f from the LP weights
     lambda_min: float = 1e-12   # smallest accepted vertical multiplier
 
 

@@ -1,5 +1,5 @@
-"""The seeded 64-bit generator behind instance generation and the sampled
-domination check.
+"""The seeded 64-bit generator behind instance generation and the harness's
+sampled domination oracle.
 
 SplitMix64 with the usual published constants: the k-th output of a
 generator in state s mixes s + k * GAMMA (mod 2^64), so a block of n draws

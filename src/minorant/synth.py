@@ -38,7 +38,6 @@ from .core import (
 )
 from .gauge import shift
 from .lp import LpError, solve_lp
-from .rng import SplitMix64
 from .scan import MidpointReport, midpoint_scan
 
 __all__ = [
@@ -59,11 +58,7 @@ __all__ = [
     "synth_tight_minorant",
     "min_convex_over_polytope",
     "synth_composed_minorant",
-    "DOMINATION_SAMPLES",
 ]
-
-DOMINATION_SAMPLES = 10_000
-DOMINATION_BOX = 10.0       # domination samples drawn uniformly from [-10, 10]^d
 
 
 class DegenerateLambda(RuntimeError):
@@ -141,12 +136,11 @@ class LiftedLinear:
 
 @dataclass(frozen=True)
 class DominationReport:
-    """Worst sampled deficit of f - A (negative means a violation)."""
+    """Exact residuals of A <= f from theta = mu / lam on the simplex: for
+    every x, f(x) - A(x) >= worst_deficit - slope_residual * ||x||_1."""
 
-    worst_deficit: float
-    witness: np.ndarray
-    samples: int
-    seed: int
+    worst_deficit: float   # theta . offsets - c; negative means a violation
+    slope_residual: float  # ||slopes^T theta - w||_inf
 
 
 @dataclass(frozen=True)
@@ -156,23 +150,24 @@ class SynthCertificate:
     weights: np.ndarray              # mu over the pieces of f
     delta: float                     # scored infimum of f over B
     lhs: float                       # scored infimum of A over B
-    rhs: float                       # equals delta
+    rhs: float                       # equals delta; not in the CLI report
     gap: float                       # lhs - rhs
     t_star: float                    # LP level; >= 1 - tol_lp when exact
     domination: DominationReport
     condition: MidpointReport
-    approximate: bool = False        # always False; kept in the report format
-    fallback: Optional[str] = None   # always None; kept in the report format
+    approximate: bool = False        # always False; not in the CLI report
+    fallback: Optional[str] = None   # always None; not in the CLI report
 
     def within(self, tol: ToleranceConfig) -> bool:
         """The two scored infima agree, the LP level reached 1, the
-        multiplier is positive and no sampled point has A above f, each
+        multiplier is positive and both residuals of A <= f are small, each
         within `tol`."""
         return (
             abs(self.gap) <= tol.tol_gap
             and self.t_star >= 1.0 - tol.tol_lp
             and self.lifted.lam > tol.lambda_min
             and self.domination.worst_deficit >= -tol.tol_dom
+            and self.domination.slope_residual <= tol.tol_dom
         )
 
 
@@ -265,13 +260,10 @@ def min_over_scored_set(F: MaxAffineFn, B: ScoredSet) -> Tuple[float, np.ndarray
     return delta, witness
 
 
-def _domination_report(F: MaxAffineFn, A: AffineMap, seed: int = 20240817) -> DominationReport:
-    """Sampled defense check of A <= f on a fixed box."""
-    rng = SplitMix64(seed)
-    X = rng.uniform_matrix(DOMINATION_SAMPLES, F.dim, -DOMINATION_BOX, DOMINATION_BOX)
-    deficits = F.batch(X) - A.batch(X)
-    i = int(np.argmin(deficits))
-    return DominationReport(float(deficits[i]), X[i].copy(), DOMINATION_SAMPLES, seed)
+def _domination_report(F: MaxAffineFn, A: AffineMap, theta: np.ndarray) -> DominationReport:
+    """Residuals of A <= f from the convex combination theta of f's pieces."""
+    return DominationReport(float(F.offsets @ theta - A.c),
+                            float(np.max(np.abs(F.slopes.T @ theta - A.w))))
 
 
 def _synth_pipeline(
@@ -342,7 +334,7 @@ def _synth_pipeline(
         rhs=delta,
         gap=lhs - delta,
         t_star=float(sol.value),
-        domination=_domination_report(F, A),
+        domination=_domination_report(F, A, mu / lam),
         condition=condition,
     )
 

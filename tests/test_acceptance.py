@@ -22,6 +22,7 @@ from minorant.core import (
 from minorant.gauge import eval_gauge, eval_gauge_batch, shift
 from minorant.harness import (
     SplitMix64,
+    domination_oracle,
     gen_instance,
     gen_line_constrained_set,
     gen_mok_satisfied,
@@ -176,15 +177,16 @@ def test_c5_mok_guarantee(capsys):
 
 
 def _c6_instances():
-    """100 synthesis runs whose hypotheses hold by construction."""
+    """100 synthesis runs whose hypotheses hold by construction, each as
+    (f, certificate)."""
     for t in range(40):  # polytope-tight minorants (condition automatic)
         d = 1 + t % 3
         F = gen_instance("max_affine", {"d": d, "p": 2 + t % 4}, 6000 + t)
         C = gen_instance("polytope", {"d": d, "v": 2 + t % 3}, 6100 + t)
-        yield synth_tight_minorant(F, C)
+        yield F, synth_tight_minorant(F, C)
     for t in range(30):  # finite sets constant along a slack direction
         F, Z = gen_line_constrained_set(6200 + t, d=1 + t % 4, p=2 + t % 4)
-        yield synth_tight_minorant(F, Z)
+        yield F, synth_tight_minorant(F, Z)
     for t in range(30):  # composed affine payload over a polytope (exact)
         rng = SplitMix64(6300 + t)
         dz = 1 + t % 2
@@ -194,26 +196,38 @@ def _c6_instances():
         jt = AffineTransform(rng.uniform_matrix(d, dz, -2.0, 2.0),
                              rng.uniform_vector(d, -2.0, 2.0))
         kk = AffineMap(rng.uniform_vector(dz, -2.0, 2.0), rng.uniform(-2.0, 2.0))
-        yield synth_composed_minorant(F, jt, kk, C)
+        yield F, synth_composed_minorant(F, jt, kk, C)
 
 
 def test_c6_synthesis_pipelines(capsys):
     worst_deficit = 0.0
+    worst_slope = 0.0
+    worst_sampled = 0.0
     worst_gap = 0.0
     min_lam = float("inf")
     min_t = float("inf")
     n = 0
-    for cert in _c6_instances():
+    for F, cert in _c6_instances():
         assert cert.condition.satisfied and cert.fallback is None
-        worst_deficit = min(worst_deficit, cert.domination.worst_deficit)
+        dom = cert.domination
+        worst_deficit = min(worst_deficit, dom.worst_deficit)
+        worst_slope = max(worst_slope, dom.slope_residual)
+        # The sampled oracle never falls below the exact bound
+        # f(x) - A(x) >= worst_deficit - slope_residual * ||x||_1, up to the
+        # rounding of f(x) - A(x) on [-10, 10]^d.
+        sampled, x = domination_oracle(F, cert.affine)
+        assert sampled >= dom.worst_deficit - dom.slope_residual * np.abs(x).sum() - 1e-12
+        worst_sampled = min(worst_sampled, sampled)
         worst_gap = max(worst_gap, abs(cert.gap))
         min_lam = min(min_lam, cert.lifted.lam)
         min_t = min(min_t, cert.t_star)
         n += 1
-    passed = (n == 100 and worst_deficit >= -1e-7 and worst_gap <= 1e-6
+    passed = (n == 100 and worst_deficit >= -1e-7 and worst_slope <= 1e-7
+              and worst_sampled >= -1e-7 and worst_gap <= 1e-6
               and min_lam > 1e-12 and min_t >= 1.0 - 1e-8)
     _report(capsys, "C6 affine-minorant pipelines", passed,
-            f"n={n}, deficit={worst_deficit:.2e}, gap={worst_gap:.2e}, "
+            f"n={n}, deficit={worst_deficit:.2e}, slope={worst_slope:.2e}, "
+            f"sampled={worst_sampled:.2e}, gap={worst_gap:.2e}, "
             f"lam_min={min_lam:.2e}, t_min={min_t:.9f}")
     assert passed
 

@@ -1,0 +1,53 @@
+"""The benchmark's in-process adapter (`bench/solver.py`) reads certificate
+attributes directly.  Run `library_call` and its output builder on one tiny
+problem of each in-process kind, so that a certificate attribute the
+benchmark reads cannot be removed without failing here."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+F = {"pieces": [{"a": [1.0, 0.0], "b": 0.0}, {"a": [-1.0, 0.5], "b": 0.2}]}
+S = {"pieces": [[1.0, 0.0], [-1.0, 0.5]]}
+J = {"matrix": [[1.0], [0.5]], "offset": [0.0, 0.1]}
+POINTS = [[0.0, 1.0], [0.0, 2.0]]
+VERTICES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+PROBLEMS = [
+    ("solve-mok", {"s": S, "d": [[1.0, 0.0]]}),
+    ("synth-sun", {"f": F, "z": {"points": POINTS}}),
+    ("synth-sun", {"f": F, "z": {"vertices": VERTICES}}),
+    ("synth-affine", {"f": F, "b": {"points": POINTS, "scores": [0.0, -0.5]}}),
+    ("synth-affine", {"f": F, "b": {"vertices": VERTICES, "score_lin": [0.5, 0.0],
+                                    "score_off": 0.25}}),
+    ("synth-cahbl", {"f": F, "z": {"vertices": [[0.0], [1.0]], "j": J,
+                                   "k": {"lin": [0.5], "off": 0.0}}}),
+    ("solve-hbl", {"sublinears": [S, S], "tables": [[[1.0, 0.0]], [[0.0, 1.0]]]}),
+    ("solve-hbl", {"s": S, "j": [[1.0, 0.0]], "k": [0.0]}),
+    ("min-convex", {"f": F, "vertices": VERTICES}),
+]
+
+
+@pytest.fixture(scope="module")
+def solver(request):
+    # solver.py imports its sibling `spans` by plain name.
+    mp = pytest.MonkeyPatch()
+    request.addfinalizer(mp.undo)
+    mp.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_solver", BENCH / "solver.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind,payload", PROBLEMS,
+                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(PROBLEMS)])
+def test_library_call_output(solver, kind, payload):
+    call, to_output = solver.library_call(kind, payload)
+    out = to_output(call())
+    assert "error" not in out
+    json.dumps(out)  # the benchmark writes every output as JSON

@@ -173,7 +173,7 @@ class TestExitCodes:
         rep = json.loads(capsys.readouterr().out)
         cert = rep["certificate"]
         assert rep["status"] == "ok" and "error" not in cert
-        assert cert["approximate"] is False
+        assert not {"approximate", "fallback", "rhs"} & cert.keys()
         # inf over [0, 1] of |z| + |z - 1/2| is 1/2.
         assert cert["delta"] == pytest.approx(0.5, abs=1e-12)
         assert cert["lhs"] == pytest.approx(0.5, abs=1e-12)
@@ -256,7 +256,7 @@ class TestRegressions:
         assert code == EXIT_OK
         cert = rep["certificate"]
         assert cert["delta"] == -2e12 and cert["lhs"] == -2e12 and cert["gap"] == 0.0
-        assert cert["fallback"] is None
+        assert "fallback" not in cert
 
 
 class TestToleranceExitCodes:
@@ -562,9 +562,15 @@ SCHEMA_CASES = [
      "$.payload.suites: expected an array of names"),
     ("verify-suite-name", _malformed("verify", {"suites": ["mok", 1]}),
      "$.payload.suites[1]: expected a string"),
+    ("verify-suite-repeated", _malformed("verify", {"suites": ["mok", "synth", "mok"]}),
+     "$.payload.suites[2]: duplicate suite"),
     ("verify-trials", _malformed("verify", {"trials": [1]}), "$.payload.trials: expected an object"),
     ("verify-trial-count", _malformed("verify", {"trials": {"mok": 1.0}}),
      "$.payload.trials.mok: expected an integer"),
+    ("verify-trials-suite", _malformed("verify", {"trials": {"nosuch": 5}}),
+     "$.payload.trials.nosuch: unknown field"),
+    ("verify-trials-cap", _malformed("verify", {"trials": {"polytope_min": 1001}}),
+     "$.payload.trials.polytope_min: 1001 trials exceed the cap 1000"),
     # gen
     ("gen-missing", _malformed("gen", {"instance": "polytope"}), "$.payload.dims: missing required field"),
     ("gen-instance", _malformed("gen", {"instance": "nope", "dims": {}}),
@@ -716,31 +722,31 @@ def _golden_documents():
 
 # SHA-256 of each golden report, and its exit code.
 GOLDEN = {
-    "affine-points": ("3139b960f1ac57b99fb0a7fc0835c5a79e7d39e9f63bfb98aab6aa355284bf4d", 0),
-    "affine-points-violated": ("d1fd43ec55423fc9670cbdbacf716f357f7dffb86051896328a041b495fee86d", 1),
-    "affine-polytope": ("f3e617fddbd58dc0c5220d7e372ad16bce236145b1c9c038dd78c51750ea08bc", 0),
-    "cahbl-finite": ("244704782c09aa3caccb07d2e267c6e39d94f48aa7170bfdc0b19632b8256c81", 0),
-    "cahbl-polytope-affine": ("031cb7c0a629459219c53aab0190dab72855ccd5748138ab7672885d7f1984d5", 0),
-    "cahbl-polytope-max-affine": ("c3012de4b9679c1d1fa3e00b7d2e0ca175dcdf554eb1c4c7ccd61fed6f9a0ccb", 0),
-    "cahbl-polytope-max-affine-ok": ("5580cc3ff443e2d8d61a37fc6d9fab584c00f640f73f58bb23f86a64ae53da32", 0),
+    "affine-points": ("2e198fdb15d81839ceefc876d1895f9fed9514c4a98e4044903a837c26eb809e", 0),
+    "affine-points-violated": ("f9990446b99b27fb9ffa62c7ef10a0c6186b54dd5d67a975f8672388f4c3a1cd", 1),
+    "affine-polytope": ("836dd994c6aaf684541e7fc44315e7ae660eb789ad9f4df54df8a26fcbd77d68", 0),
+    "cahbl-finite": ("1154b96ca1129db7fd599a55a1f9f4e586d071747d39031ae39d0136cf6bf4eb", 0),
+    "cahbl-polytope-affine": ("25f753e14fecc3904fd2d418d8c1edffc03ddaffbaf83cac9f2a70b52af8d077", 0),
+    "cahbl-polytope-max-affine": ("a3a6844f3548865f86d5e3f53eeab56515b40bcb79878cd010cf30653653a32d", 0),
+    "cahbl-polytope-max-affine-ok": ("29ce65aeb408d81fc63a6f22dd0ca72eecb4209c9f7485eb7f1c1e4cfd39c984", 0),
     "gauge-root": ("e9fa3421da02c2e4e407ac919a9e07b89d98341c0bd03d9aa56203921a46bfc9", 0),
     "gauge-zero": ("27b14ca7b6b8be95caa6dccaff85c540c2be00dedca8f8186bf55ba2c11eef06", 0),
     "gen-hbl": ("ed127b92adeb46a42910c93cf2baf1a1a2c6010994524b1e9aec20b882ffb195", 0),
     "gen-max-affine": ("4a4c3da7694ff519b7a0b9708146e49b17c14c5af35ef9521b2bb8cdab3fd458", 0),
     "gen-polytope": ("3d09bbf48e6c7e0a6859b7f73e790a42494b0a75fc41c4fb2bf6d698ebbaa2d0", 0),
     "gen-scored-set": ("b16d7bdc98baf4f1e61e0e4ab9a81820e807f337f6de5ed708bf0553638fbeec", 0),
-    "hbl-finite": ("2e30b958b61c274efa09bbf1d3f89f3d493cdba45c67fe32723d17d3bfa8d8fb", 0),
-    "hbl-finite-violated": ("4f6610a8fb82674227b14455bdfcf9e9e81b788d838d48dbe2ddc282a33c9c49", 1),
-    "hbl-polytope-affine": ("a9bb5d1df2078bb4b71b88fe3c2f0debaea5443857b3bcd816aa277711751242", 0),
-    "hbl-polytope-max-affine": ("bf7fdb10fe71da30ed9395242eff39aa91d2983df8e3e490f54a48e4ab4d2432", 0),
-    "hbl-product": ("ca23b5e0999575fa48895f74c87ca2b5019dbafb65571b96c9ed49ba40b5ff63", 0),
-    "hbl-product-payload": ("c58d45cc1543bbea6dc95a9f49018f6b7d0b0da9cd4a0f78deff184178151a35", 0),
+    "hbl-finite": ("7c88c1ead6324ef79f8b2789ed37cb56e0063f151f943cc3874971437f4ae67f", 0),
+    "hbl-finite-violated": ("af410e8916bc502234ed11a7c8c5b5d22fba2179830cbac4fbd08d9d19d75e7f", 1),
+    "hbl-polytope-affine": ("d84dc0d7f4d8cde9f64d7307fedb0ae0bcbec05d06969dfa96bdb591560b03a1", 0),
+    "hbl-polytope-max-affine": ("c44a991021ebede2a3c741aab9aab00ca6260c856da9bf6195570d44392c982c", 0),
+    "hbl-product": ("9f230c95609d482a750a3e73c0aaf52d5cd470a4719b7e1ef0e583de4cc0ec6b", 0),
+    "hbl-product-payload": ("2d96109d776668ba2806daa09b75041137be092f7070e2ecb5dd11b62b485cd6", 0),
     "mok-satisfied": ("ad51ff46da1787c7776845e5b530102ffff1d6d2a5d4393113ab181be33ccc90", 0),
     "mok-violated": ("a7f4cb8213f9cfbe8510185c81cf14bad1e908bf7e7fc00dba760f01c4b8481d", 1),
-    "sun-points": ("30bc213e8d2764b1c256b7c9506998b6737475448f3c23412808c21f4dc721ad", 0),
-    "sun-vertices": ("97bc571687347b6b72f82fa66c9257cd5e8826a4ff75825af01a5f084e0c6a53", 0),
+    "sun-points": ("bccc8f0c7f9ed4901035219a5293f2351b34f7ad99d3e6dcd4948571d5b23ae1", 0),
+    "sun-vertices": ("036dc57656fc5ab82e3b833bed2214c404a3057c02e6c6fd7124471e3e0c4152", 0),
     "tol-gap-flag": ("fdc54e9e126135d3fe74594f7ea1ae7fe9c7c2c42d64af4cd14938b062887d83", 0),
-    "tolerances": ("fd89cc53a2bd9fa404d04168bb77e3840b2fd191b4a92b09c31a8b36c36fe93e", 2),
+    "tolerances": ("64eb8eec271d9cbe5500700e1a8b6b941787eb780b4246a08311493bd49c2a9a", 2),
     "verify": ("b63fb3f7d4e6daf9a6b921a2ff38a646dd1bdb4c80d63ec5a0dbfcc399e016c3", 0),
 }
 
@@ -787,6 +793,34 @@ class TestGaugeTolerance:
             runs.append((code, json.loads(capsys.readouterr().out)))
         residual = runs[0][1]["certificate"]["residual"]
         assert 1e-16 < residual < 1e-15
+        assert [code for code, _ in runs] == [EXIT_OK, EXIT_NUMERICAL, EXIT_OK]
+        assert runs[1][1]["status"] == "numerical-failure"
+        assert runs[1][1]["certificate"] == runs[0][1]["certificate"]
+
+
+class TestDominationTolerance:
+    """A synthesis certificate exits 0 only with both exact residuals of
+    A <= f within tol_dom: the deficit theta . offsets - c at least
+    -tol_dom, and the slope residual ||slopes^T theta - w||_inf at most
+    tol_dom."""
+
+    # (golden document, its residual that exceeds 1e-16)
+    CASES = [("affine-points", "worst_deficit"), ("sun-vertices", "slope_residual")]
+
+    @pytest.mark.parametrize("name,field", CASES)
+    def test_residuals_against_tol_dom(self, tmp_path, capsys, name, field):
+        kind, text, _ = _golden_documents()[name]
+        payload = json.loads(text)["payload"]
+        path = tmp_path / "in.json"
+        runs = []
+        for extra in ({}, {"tolerances": {"tol_dom": 1e-16}},
+                      {"tolerances": {"tol_dom": 1e-15}}):
+            path.write_text(doc(kind, payload, **extra))
+            code = run_command([kind, "--input", str(path)])
+            runs.append((code, json.loads(capsys.readouterr().out)))
+        dom = runs[0][1]["certificate"]["domination"]
+        assert sorted(dom) == ["slope_residual", "worst_deficit"]
+        assert 1e-16 < abs(dom[field]) < 1e-15
         assert [code for code, _ in runs] == [EXIT_OK, EXIT_NUMERICAL, EXIT_OK]
         assert runs[1][1]["status"] == "numerical-failure"
         assert runs[1][1]["certificate"] == runs[0][1]["certificate"]
@@ -905,7 +939,7 @@ class TestWorkBudget:
         ):
             text, code = run_problem_text(doc(kind, payload))
             cert = json.loads(text)["certificate"]
-            assert code == EXIT_OK and cert["approximate"] is False
+            assert code == EXIT_OK and "approximate" not in cert
             for side in sides:
                 assert cert[side] == pytest.approx(0.0, abs=1e-12)
 
@@ -915,11 +949,23 @@ class TestWorkBudget:
         def gen(v):
             return doc("gen", {"instance": "polytope", "dims": {"d": 1, "v": v}})
 
-        assert parse_problem(gen(cli.MAX_TABLEAU_CELLS)).args[1]["v"] == cli.MAX_TABLEAU_CELLS
+        assert parse_problem(gen(cli.MAX_GEN_FLOATS)).args[1]["v"] == cli.MAX_GEN_FLOATS
         with pytest.raises(SchemaError) as err:
-            parse_problem(gen(cli.MAX_TABLEAU_CELLS + 1))
-        assert str(err.value) == (f"$.payload.dims: instance of {cli.MAX_TABLEAU_CELLS + 1} "
-                                  f"floats exceeds the cap {cli.MAX_TABLEAU_CELLS}")
+            parse_problem(gen(cli.MAX_GEN_FLOATS + 1))
+        assert str(err.value) == (f"$.payload.dims: instance of {cli.MAX_GEN_FLOATS + 1} "
+                                  f"floats exceeds the cap {cli.MAX_GEN_FLOATS}")
+
+    def test_verify_trials_cap(self):
+        from minorant import cli
+
+        def verify(n):
+            return doc("verify", {"suites": ["mok"], "trials": {"mok": n}})
+
+        assert parse_problem(verify(cli.MAX_TRIALS)).args[1] == {"mok": cli.MAX_TRIALS}
+        with pytest.raises(SchemaError) as err:
+            parse_problem(verify(cli.MAX_TRIALS + 1))
+        assert str(err.value) == (f"$.payload.trials.mok: {cli.MAX_TRIALS + 1} trials "
+                                  f"exceed the cap {cli.MAX_TRIALS}")
 
     def test_finite_forms_checked(self):
         from minorant import cli

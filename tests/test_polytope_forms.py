@@ -1,12 +1,13 @@
 """Both composed polytope forms are exact: a seeded corpus of segments and
 polygons with payloads of one to three pieces, checked against scipy's
-polytope minimum and the barycentric grid oracle."""
+polytope minimum, the barycentric grid oracle and the sampled domination
+oracle."""
 
 import numpy as np
 import pytest
 
 from minorant.core import AffineMap, AffineTransform, MaxAffineFn, PolyhedralSublinear, Polytope
-from minorant.harness import SplitMix64, grid_min_oracle
+from minorant.harness import SplitMix64, domination_oracle, grid_min_oracle
 from minorant.hbl import solve_hbl_jk
 from minorant.synth import synth_composed_minorant
 
@@ -78,8 +79,15 @@ def test_synth_composed_is_exact(t, V, j, k, payload):
     # A <= f exactly: with theta = mu / lam on the simplex, w = slopes^T theta
     # and c <= theta . offsets.
     theta = cert.weights / cert.lifted.lam
-    assert np.max(np.abs(F.slopes.T @ theta - A.w)) <= 1e-12
+    slope_residual = np.max(np.abs(F.slopes.T @ theta - A.w))
+    assert slope_residual <= 1e-12
     assert A.c - theta @ F.offsets <= 1e-12
+    # The certificate reports these residuals, and the sampled oracle is
+    # never below the bound they give, up to the rounding of f(x) - A(x).
+    dom = cert.domination
+    assert (dom.worst_deficit, dom.slope_residual) == (theta @ F.offsets - A.c, slope_residual)
+    sampled, x = domination_oracle(F, A)
+    assert sampled >= dom.worst_deficit - dom.slope_residual * np.abs(x).sum() - 1e-12
 
 
 @pytest.mark.parametrize("t,V,j,k,payload", CORPUS, ids=[f"t{c[0]}" for c in CORPUS])

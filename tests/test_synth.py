@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from minorant.core import AffineMap, AffineTransform, MaxAffineFn, Polytope
+from minorant.core import DEFAULT_TOL, AffineMap, AffineTransform, MaxAffineFn, Polytope
 from minorant.gauge import eval_gauge, shift
 from minorant.harness import gen_line_constrained_set
 from minorant.synth import (
     ConditionViolated,
+    _domination_report,
     FiniteScoredSet,
     LiftedPolytope,
     build_gauge_support_lp,
@@ -145,6 +148,48 @@ class TestSynthPipeline:
             assert cert.t_star >= 1.0 - 1e-8
             assert cert.lifted.lam > 1e-12
             assert cert.domination.worst_deficit >= -1e-7
+
+
+def _exact_cases():
+    """(f, certificate) for a finite set, a polytope and a composed form
+    with a two-piece payload."""
+    F, Z = gen_line_constrained_set(3, d=3, p=4)
+    yield F, synth_tight_minorant(F, Z)
+    F = MaxAffineFn(np.array([[1.0, 0.5], [-1.0, 0.2], [0.3, -1.0]]), np.array([0.1, -0.2, 0.4]))
+    yield F, synth_tight_minorant(F, Polytope(np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]])))
+    yield F, synth_composed_minorant(
+        F, AffineTransform(np.array([[1.0], [-0.5]]), np.array([0.2, 0.0])),
+        MaxAffineFn(np.array([[1.0], [-1.0]]), np.array([-0.5, 0.5])),
+        Polytope(np.array([[0.0], [1.0]])))
+
+
+class TestExactDomination:
+    """A <= f is certified by the weights theta = mu / lam on the simplex:
+    perturbing w, c or one weight puts a residual outside tol_dom."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_reported_residuals(self, case):
+        F, cert = list(_exact_cases())[case]
+        theta = cert.weights / cert.lifted.lam
+        assert cert.domination == _domination_report(F, cert.affine, theta)
+        assert abs(cert.domination.worst_deficit) <= 1e-12
+        assert cert.domination.slope_residual <= 1e-12
+        assert cert.within(DEFAULT_TOL)
+
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("mutation", ["w", "c", "mu"])
+    def test_mutation_is_caught(self, case, mutation):
+        F, cert = list(_exact_cases())[case]
+        A, mu, eps = cert.affine, cert.weights.copy(), 1e-3
+        if mutation == "w":
+            A = AffineMap(A.w + eps * (np.arange(F.dim) == 0), A.c)
+        elif mutation == "c":
+            A = AffineMap(A.w, A.c + eps)
+        else:
+            mu[int(np.argmax(mu))] += eps
+        dom = _domination_report(F, A, mu / cert.lifted.lam)
+        assert dom.worst_deficit < -DEFAULT_TOL.tol_dom or dom.slope_residual > DEFAULT_TOL.tol_dom
+        assert not dataclasses.replace(cert, affine=A, domination=dom).within(DEFAULT_TOL)
 
 
 class TestSupportAtPoint:
