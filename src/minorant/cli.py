@@ -7,14 +7,16 @@ Exit codes are part of the contract:
       witness is in the report
 * 2 — numerical failure (certificate or gauge residual outside the
       document's tolerances, degenerate multiplier, bracket failure, LP
-      anomaly, failed verify)
+      anomaly, overflow, failed verify)
 * 3 — parse or schema error, including a document over a work cap
 
 Every polytope form is exact: its LP has one row per vertex, and a
 max-affine payload adds one weight per piece (minimax theorem).
 
-A report is always written once parsing succeeded.  Floats are serialized
-with 17 significant digits so reports round-trip bit-exactly.
+A report is always written once parsing succeeded.  It is strict JSON:
+each float is written as its shortest repr, which parses back to the same
+bits, and a certificate holding a NaN or an infinity, or a solve that
+overflows, is reported as a numerical failure.
 """
 
 from __future__ import annotations
@@ -358,6 +360,8 @@ def _build_verify(payload: dict, path: str) -> tuple:
     trials = _take(obj.get("trials", {}), f"{path}.trials", {k: False for k in SUITE_NAMES})
     counts = {k: _integer(v, f"{path}.trials.{k}") for k, v in trials.items()}
     for k, n in counts.items():
+        if n < 1:
+            raise SchemaError(f"{path}.trials.{k}: must be >= 1")
         if n > MAX_TRIALS:
             raise SchemaError(f"{path}.trials.{k}: {n} trials exceed the cap {MAX_TRIALS}")
     return obj.get("suites"), counts
@@ -435,60 +439,17 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 # ---------------------------------------------------------------------------
-# Report serialization (17 significant digits, deterministic)
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if x == int(x) and abs(x) < 1e16:
-        return format(x, ".1f")
-    return format(x, ".17g")
-
-
-def _dump_json(obj, out: List[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _dump_json(v, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _dump_json(v, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+# Report serialization
 
 
 def emit_report(report: dict) -> str:
-    out: List[str] = []
-    _dump_json(report, out)
-    return "".join(out) + "\n"
+    """Strict JSON: each float as its shortest repr, which parses back to the
+    same bits; a NaN or infinity raises ValueError."""
+    return json.dumps(report, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _vec(v: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(v).reshape(-1)]
+    return np.asarray(v, dtype=float).ravel().tolist()
 
 
 def _midpoint_json(rep: MidpointReport) -> dict:
@@ -591,17 +552,16 @@ def _solve(problem: ProblemFile) -> Tuple[dict, int]:
 
 def _instance_json(kind: str, inst) -> dict:
     if kind == "max_affine":
-        return {"pieces": [{"a": _vec(a), "b": float(b)}
-                           for a, b in zip(inst.slopes, inst.offsets)]}
+        return {"pieces": [{"a": a, "b": b}
+                           for a, b in zip(inst.slopes.tolist(), inst.offsets.tolist())]}
     if kind == "polytope":
-        return {"vertices": [_vec(v) for v in inst.vertices]}
+        return {"vertices": inst.vertices.tolist()}
     if kind == "scored_set":
-        return {"points": [_vec(b) for b in inst.points], "scores": _vec(inst.scores)}
+        return {"points": inst.points.tolist(), "scores": inst.scores.tolist()}
     if kind == "hbl":
         return {
-            "sublinears": [{"pieces": [_vec(r) for r in S.pieces]}
-                           for S in inst.sublinears],
-            "tables": [[_vec(r) for r in t] for t in inst.tables],
+            "sublinears": [{"pieces": S.pieces.tolist()} for S in inst.sublinears],
+            "tables": [t.tolist() for t in inst.tables],
         }
     raise SchemaError(f"unknown instance kind {kind!r}")
 
@@ -630,11 +590,14 @@ def _run_parsed(problem: ProblemFile, text: str, seed_override: Optional[int],
     status_by_code = {EXIT_OK: "ok", EXIT_HYPOTHESIS: "hypothesis-violated",
                       EXIT_NUMERICAL: "numerical-failure"}
     try:
-        cert, code = _solve(problem)
+        # An overflow or an invalid operation is a numerical failure, not a
+        # non-finite number in the certificate.
+        with np.errstate(over="raise", invalid="raise"):
+            cert, code = _solve(problem)
     except ConditionViolated as e:
         cert = {"error": "condition-violated", "condition": _midpoint_json(e.report)}
         code = EXIT_HYPOTHESIS
-    except (DegenerateLambda, BracketFailure, LpError, ScanExhausted) as e:
+    except (DegenerateLambda, BracketFailure, LpError, ScanExhausted, FloatingPointError) as e:
         cert = {"error": type(e).__name__, "message": str(e)}
         code = EXIT_NUMERICAL
     except InvalidInput as e:
@@ -646,7 +609,12 @@ def _run_parsed(problem: ProblemFile, text: str, seed_override: Optional[int],
         "status": status_by_code[code],
         "certificate": cert,
     }
-    return emit_report(report), code
+    try:
+        return emit_report(report), code
+    except ValueError as e:  # a certificate number that is not finite
+        report.update(status=status_by_code[EXIT_NUMERICAL],
+                      certificate={"error": type(e).__name__, "message": str(e)})
+        return emit_report(report), EXIT_NUMERICAL
 
 
 @functools.cache

@@ -1,13 +1,17 @@
 """The benchmark's in-process adapter (`bench/solver.py`) reads certificate
 attributes directly.  Run `library_call` and its output builder on one tiny
 problem of each in-process kind, so that a certificate attribute the
-benchmark reads cannot be removed without failing here."""
+benchmark reads cannot be removed without failing here.  The benchmark's
+independent checker (`bench/checker.py`) must also accept the CLI report of
+each golden document of a form it covers."""
 
 import importlib.util
 import json
 import pathlib
 
 import pytest
+from minorant.cli import EXIT_OK, run_problem_text
+from test_cli import _golden_documents
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,3 +55,26 @@ def test_library_call_output(solver, kind, payload):
     out = to_output(call())
     assert "error" not in out
     json.dumps(out)  # the benchmark writes every output as JSON
+
+
+# The exit-0 golden documents of the forms the checker covers.
+CHECKED = ["affine-points", "affine-polytope", "cahbl-finite", "cahbl-polytope-affine",
+           "gauge-root", "gauge-zero", "gen-hbl", "gen-max-affine", "hbl-finite",
+           "hbl-product", "hbl-product-payload", "mok-satisfied", "sun-points", "sun-vertices"]
+
+
+@pytest.fixture(scope="module")
+def checker():
+    spec = importlib.util.spec_from_file_location("bench_checker", BENCH / "checker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_checker_accepts_cli_report(checker, name):
+    _, text, flags = _golden_documents()[name]
+    assert flags == []
+    report, code = run_problem_text(text)
+    assert code == EXIT_OK
+    assert checker.check_report(text, report) == []

@@ -1,5 +1,8 @@
 import json
+import math
 import re
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +12,7 @@ from minorant.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     SchemaError,
+    emit_report,
     parse_problem,
     run_command,
     run_problem_text,
@@ -17,6 +21,13 @@ from minorant.cli import (
 
 def doc(kind, payload, **extra):
     return json.dumps({"version": 1, "kind": kind, "payload": payload, **extra})
+
+
+def strict_loads(text):
+    """json.loads that refuses the NaN and Infinity tokens strict JSON lacks."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 ABS_F = {"pieces": [{"a": [1.0], "b": 0.0}, {"a": [-1.0], "b": 0.0}]}
@@ -133,6 +144,24 @@ class TestReports:
         from minorant.cli import emit_report
 
         assert emit_report(rep) == text
+
+    @pytest.mark.parametrize("x", [-0.0, 5e-324, 0.1, 1 / 3, 2.0**53 + 2, 1e16, 1e16 + 2,
+                                   sys.float_info.max])
+    def test_float_bits_round_trip(self, x):
+        got = json.loads(emit_report({"x": x}))["x"]
+        assert (type(got), got.hex()) == (float, x.hex())
+
+    def test_nonfinite_certificate_is_numerical_failure(self, monkeypatch):
+        import minorant.cli
+
+        monkeypatch.setattr(minorant.cli, "eval_gauge", lambda *args: SimpleNamespace(
+            value=math.nan, branch=SimpleNamespace(value="root"), residual=0.0,
+            iterations=1, within=lambda tol: True))
+        text, code = run_problem_text(GAUGE_DOC)
+        rep = strict_loads(text)
+        assert code == EXIT_NUMERICAL
+        assert rep["status"] == "numerical-failure"
+        assert rep["certificate"]["error"] == "ValueError"
 
     def test_byte_identical_determinism(self):
         t1, c1 = run_problem_text(SUN_DOC)
@@ -571,6 +600,8 @@ SCHEMA_CASES = [
      "$.payload.trials.nosuch: unknown field"),
     ("verify-trials-cap", _malformed("verify", {"trials": {"polytope_min": 1001}}),
      "$.payload.trials.polytope_min: 1001 trials exceed the cap 1000"),
+    ("verify-trials-zero", _malformed("verify", {"trials": {"mok": 0}}),
+     "$.payload.trials.mok: must be >= 1"),
     # gen
     ("gen-missing", _malformed("gen", {"instance": "polytope"}), "$.payload.dims: missing required field"),
     ("gen-instance", _malformed("gen", {"instance": "nope", "dims": {}}),
@@ -722,32 +753,32 @@ def _golden_documents():
 
 # SHA-256 of each golden report, and its exit code.
 GOLDEN = {
-    "affine-points": ("2e198fdb15d81839ceefc876d1895f9fed9514c4a98e4044903a837c26eb809e", 0),
-    "affine-points-violated": ("f9990446b99b27fb9ffa62c7ef10a0c6186b54dd5d67a975f8672388f4c3a1cd", 1),
-    "affine-polytope": ("836dd994c6aaf684541e7fc44315e7ae660eb789ad9f4df54df8a26fcbd77d68", 0),
-    "cahbl-finite": ("1154b96ca1129db7fd599a55a1f9f4e586d071747d39031ae39d0136cf6bf4eb", 0),
-    "cahbl-polytope-affine": ("25f753e14fecc3904fd2d418d8c1edffc03ddaffbaf83cac9f2a70b52af8d077", 0),
-    "cahbl-polytope-max-affine": ("a3a6844f3548865f86d5e3f53eeab56515b40bcb79878cd010cf30653653a32d", 0),
-    "cahbl-polytope-max-affine-ok": ("29ce65aeb408d81fc63a6f22dd0ca72eecb4209c9f7485eb7f1c1e4cfd39c984", 0),
-    "gauge-root": ("e9fa3421da02c2e4e407ac919a9e07b89d98341c0bd03d9aa56203921a46bfc9", 0),
+    "affine-points": ("963e276008b250eef7eed9afa9771d5892e1ed0bbfbaf2f7fed485e0ace76095", 0),
+    "affine-points-violated": ("4915e33da4d0ec8cbe25907c5a5e52dec99eb63956a170aaa841bdad271f77b4", 1),
+    "affine-polytope": ("818fa3b2f82f9ee84c954bf654c614805a4ca090a3c441b179f1b3352688bd81", 0),
+    "cahbl-finite": ("bb8c66f5364cb5d84d99902341081bebc2ede965d939a0e9308c059ec34fc167", 0),
+    "cahbl-polytope-affine": ("a6090b1cfc759a223da261333c8867468274b7481a5e8e5c94c1e9800c3cc9f7", 0),
+    "cahbl-polytope-max-affine": ("b0947ace4374d6b8e9f676b275164d81e20aff5212850bb0576215fa9d38cdc3", 0),
+    "cahbl-polytope-max-affine-ok": ("36a4bb8998cbf8cffad0b15a1c62cc6f4f974fff6655a68cc7a50ccef3696941", 0),
+    "gauge-root": ("0ca67c3a93520c45f2a0f206c5268fb7bfbc0b60d3811764e7188571a4337186", 0),
     "gauge-zero": ("27b14ca7b6b8be95caa6dccaff85c540c2be00dedca8f8186bf55ba2c11eef06", 0),
-    "gen-hbl": ("ed127b92adeb46a42910c93cf2baf1a1a2c6010994524b1e9aec20b882ffb195", 0),
-    "gen-max-affine": ("4a4c3da7694ff519b7a0b9708146e49b17c14c5af35ef9521b2bb8cdab3fd458", 0),
-    "gen-polytope": ("3d09bbf48e6c7e0a6859b7f73e790a42494b0a75fc41c4fb2bf6d698ebbaa2d0", 0),
-    "gen-scored-set": ("b16d7bdc98baf4f1e61e0e4ab9a81820e807f337f6de5ed708bf0553638fbeec", 0),
-    "hbl-finite": ("7c88c1ead6324ef79f8b2789ed37cb56e0063f151f943cc3874971437f4ae67f", 0),
-    "hbl-finite-violated": ("af410e8916bc502234ed11a7c8c5b5d22fba2179830cbac4fbd08d9d19d75e7f", 1),
-    "hbl-polytope-affine": ("d84dc0d7f4d8cde9f64d7307fedb0ae0bcbec05d06969dfa96bdb591560b03a1", 0),
-    "hbl-polytope-max-affine": ("c44a991021ebede2a3c741aab9aab00ca6260c856da9bf6195570d44392c982c", 0),
-    "hbl-product": ("9f230c95609d482a750a3e73c0aaf52d5cd470a4719b7e1ef0e583de4cc0ec6b", 0),
-    "hbl-product-payload": ("2d96109d776668ba2806daa09b75041137be092f7070e2ecb5dd11b62b485cd6", 0),
-    "mok-satisfied": ("ad51ff46da1787c7776845e5b530102ffff1d6d2a5d4393113ab181be33ccc90", 0),
-    "mok-violated": ("a7f4cb8213f9cfbe8510185c81cf14bad1e908bf7e7fc00dba760f01c4b8481d", 1),
-    "sun-points": ("bccc8f0c7f9ed4901035219a5293f2351b34f7ad99d3e6dcd4948571d5b23ae1", 0),
-    "sun-vertices": ("036dc57656fc5ab82e3b833bed2214c404a3057c02e6c6fd7124471e3e0c4152", 0),
-    "tol-gap-flag": ("fdc54e9e126135d3fe74594f7ea1ae7fe9c7c2c42d64af4cd14938b062887d83", 0),
-    "tolerances": ("64eb8eec271d9cbe5500700e1a8b6b941787eb780b4246a08311493bd49c2a9a", 2),
-    "verify": ("b63fb3f7d4e6daf9a6b921a2ff38a646dd1bdb4c80d63ec5a0dbfcc399e016c3", 0),
+    "gen-hbl": ("0c9fb1dc2f9ac415e955b336b3e5c182cea33437596046d2734e431fcf786d1e", 0),
+    "gen-max-affine": ("934aad1652fa68004ed29433d1082acbc55ff59082ada17dea3a8bfa9fde35ed", 0),
+    "gen-polytope": ("abc1e9545eb596abf992cf1b439f44d0e55a97505a79752ed3619a36d0c96442", 0),
+    "gen-scored-set": ("5bb66bedb817b7738cae895b25e52eb06a1892e58437217b8457cef1055f9f83", 0),
+    "hbl-finite": ("a1f2ccb82287f51906529933c8921d44e9da62552796c2cdc7cfd15f882bddad", 0),
+    "hbl-finite-violated": ("f34e4051279357b13e6b4e7609f0f5d7b53fbae5c3fb19d05bb744715888ac7c", 1),
+    "hbl-polytope-affine": ("80e632a451e72b7d530eaf9b3680b6e77bc34bd9550598d78dfde4de72b5016c", 0),
+    "hbl-polytope-max-affine": ("7b97edf37f584132a06a1a3128c3b70d9a375739d58cfe5c1e8291027e531930", 0),
+    "hbl-product": ("4bf08b05bb4f012771ad90da25afeab9d186699544773d90a20779a099e9b5e0", 0),
+    "hbl-product-payload": ("a4f691d6e305ed44f74146ab00e9f97715765223428d9589e8634648f0eb2abf", 0),
+    "mok-satisfied": ("1b3527de1bf7eeb0b13d34545cd139b3fb6ecd48d143f61057c69aee6c5b857f", 0),
+    "mok-violated": ("90f46ac4e36b4c4e80314308598f18b2e04d99902dedb9cf0aaf1eaadb9901e5", 1),
+    "sun-points": ("28fd6ac81d7825ba87309f116e76791d68f185d2a6da61364e83a3715a4bacba", 0),
+    "sun-vertices": ("14e981b222a88ba2bea3724874d6609f61e275bd0d991a0e84ddf2e29a89aae7", 0),
+    "tol-gap-flag": ("91acc8297cfa25ff30503bda9b029306809ea96933994aac60c14d9a2b1a1258", 0),
+    "tolerances": ("459f1aa1eabd89f2152ac5ef15230e90001a9565a89d7d2352939035199d2ea2", 2),
+    "verify": ("0d49c4626ea51c00d14da079cae90a08bfd28caed0451a6e14def279bdc13b90", 0),
 }
 
 
@@ -767,6 +798,13 @@ class TestGoldenReports:
     def test_every_document_is_pinned(self):
         assert sorted(_golden_documents()) == sorted(GOLDEN)
 
+    def test_reports_are_strict_json(self, tmp_path):
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        for kind, text, flags in _golden_documents().values():
+            src.write_text(text)
+            run_command([kind, "--input", str(src), "--output", str(dst), *flags])
+            strict_loads(dst.read_text())
+
     def test_hbl_polytope_affine_is_exact(self):
         # inf_Z [S o j + k] lies inside Z here, not at a vertex.
         kind, text, flags = _golden_documents()["hbl-polytope-affine"]
@@ -774,6 +812,32 @@ class TestGoldenReports:
         cert = json.loads(report)["certificate"]
         assert code == EXIT_OK
         assert abs(cert["target"] - cert["value"]) <= 1e-9
+
+
+def _scaled(value, factor):
+    """A payload with every float multiplied by `factor`."""
+    if isinstance(value, dict):
+        return {k: _scaled(v, factor) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    return value * factor if isinstance(value, float) else value
+
+
+class TestOverflow:
+    """A golden document scaled by 1e154 has only finite numbers, but its
+    solve overflows: that is a numerical failure, not a schema error (the
+    gauge) or a non-finite violation of a pair (i, i), which always has the
+    witness i (the finite forms)."""
+
+    @pytest.mark.parametrize("name", ["gauge-root", "sun-points", "hbl-finite", "cahbl-finite"])
+    def test_scaled_golden_exits_numerical(self, name):
+        _, text, _ = _golden_documents()[name]
+        d = json.loads(text)
+        d["payload"] = _scaled(d["payload"], 1e154)
+        report, code = run_problem_text(json.dumps(d))
+        rep = strict_loads(report)
+        assert code == EXIT_NUMERICAL
+        assert rep["certificate"]["error"] == "FloatingPointError"
 
 
 class TestGaugeTolerance:
