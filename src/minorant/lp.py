@@ -3,8 +3,13 @@
 This is deliberately dependency-free and deterministic: the pivot rule is
 fixed (lowest eligible index enters, lowest-index basic variable leaves on
 ratio ties), so identical inputs produce bit-identical solutions.  Problem
-sizes here are tiny (tens of variables and rows), so a dense tableau is the
-right tool.
+sizes here are modest: tens of variables, and one row per vertex on the
+polytope forms (up to a few hundred rows on the benchmark), so a dense
+tableau is the right tool.
+
+Tableau layout: the variables, one slack per inequality row, one artificial
+per row that needs one (an equality row or a row with a negative right-hand
+side, in row order), then the right-hand side.
 
 Convention: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 """
@@ -12,7 +17,7 @@ Convention: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +38,7 @@ class LpSolution:
     status: str                  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]      # primal point when optimal
     value: Optional[float]       # objective value when optimal
+    pivots: Tuple[int, int] = (0, 0)  # phase 1 (with pivot-outs), phase 2
 
     @property
     def is_optimal(self) -> bool:
@@ -45,25 +51,30 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     # zero can flip; every other row gets T[r] - T[r, col] * T[row].
     rows = T[:, col] != 0.0
     rows[row] = False
-    T[rows] -= np.outer(T[rows, col], T[row])
+    if 2 * np.count_nonzero(rows) > rows.size:
+        # Dense column: update in place under the mask, no row gather.
+        np.subtract(T, np.multiply.outer(T[:, col], T[row]), out=T, where=rows[:, None])
+    else:
+        T[rows] -= np.outer(T[rows, col], T[row])
     basis[row] = col
 
 
 def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                  allowed: np.ndarray) -> str:
+                  allowed: np.ndarray) -> Tuple[str, int]:
     """Run Bland-rule simplex on tableau T (rows = constraints, last column =
     rhs) maximizing `cost` over columns flagged in `allowed`.
 
-    Returns "optimal" or "unbounded".  T and basis are updated in place.
+    Returns ("optimal" or "unbounded", pivots made).  T and basis are
+    updated in place.
     """
     n = T.shape[1] - 1
-    for _ in range(_MAX_ITER):
+    for pivots in range(_MAX_ITER):
         # Reduced costs: z_j - c_j computed by pricing the basis.
         y = cost[basis]                    # basic objective coefficients
         reduced = y @ T[:, :n] - cost[:n]
         eligible = np.flatnonzero(allowed & (reduced < -_PIVOT_TOL))
         if eligible.size == 0:
-            return "optimal"
+            return "optimal", pivots
         enter = int(eligible[0])            # Bland: lowest eligible index
         # Ratio test with Bland tie-break on the leaving basic variable index.
         # The tie-break is sequential (a tolerance band, not an argmin).
@@ -79,22 +90,25 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                 best_ratio = ratio
                 leave = r
         if leave < 0:
-            return "unbounded"
+            return "unbounded", pivots
         _pivot(T, basis, leave, enter)
     raise LpError("simplex iteration cap exceeded")
 
 
 def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, art_mask: np.ndarray,
-                           n_real: int) -> None:
+                           n_real: int) -> int:
     """After phase 1, pivot each artificial still in the basis onto the first
     of the `n_real` non-artificial columns with a nonzero entry in its row.
     A row with none is redundant; its artificial stays basic at ~0 and is
-    kept blocked in phase 2."""
+    kept blocked in phase 2.  Returns the number of pivots made."""
+    pivots = 0
     for r in range(T.shape[0]):
         if art_mask[basis[r]]:
             nonzero = np.flatnonzero(np.abs(T[r, :n_real]) > _PIVOT_TOL)
             if nonzero.size:
                 _pivot(T, basis, r, int(nonzero[0]))
+                pivots += 1
+    return pivots
 
 
 def solve_lp(
@@ -107,84 +121,62 @@ def solve_lp(
     """Maximize c.x over {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}."""
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     n = c.size
-    rows = []
-    rhs = []
-    kinds = []  # "ub" or "eq"
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=np.float64).reshape(-1, n)
-        b_ub = np.asarray(b_ub, dtype=np.float64).reshape(-1)
-        for r in range(A_ub.shape[0]):
-            rows.append(A_ub[r])
-            rhs.append(b_ub[r])
-            kinds.append("ub")
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=np.float64).reshape(-1, n)
-        b_eq = np.asarray(b_eq, dtype=np.float64).reshape(-1)
-        for r in range(A_eq.shape[0]):
-            rows.append(A_eq[r])
-            rhs.append(b_eq[r])
-            kinds.append("eq")
-    m = len(rows)
+    blocks = []
+    for A_k, b_k in ((A_ub, b_ub), (A_eq, b_eq)):
+        if A_k is None:
+            blocks.append((np.zeros((0, n)), np.zeros(0)))
+        else:
+            blocks.append((np.asarray(A_k, dtype=np.float64).reshape(-1, n),
+                           np.asarray(b_k, dtype=np.float64).reshape(-1)))
+    (A_ub, b_ub), (A_eq, b_eq) = blocks
+    n_slack = A_ub.shape[0]
+    A, b = np.vstack([A_ub, A_eq]), np.concatenate([b_ub, b_eq])
+    m = b.size
     if m == 0:
         # Unconstrained over the nonnegative orthant.
         if np.any(c > 0):
             return LpSolution("unbounded", None, None)
         return LpSolution("optimal", np.zeros(n), 0.0)
 
-    n_slack = sum(1 for k in kinds if k == "ub")
-    ncols = n + n_slack + m  # one artificial per row, unused ones stay zero
+    # A row with a negative rhs is negated; it and every equality row start
+    # on an artificial, every other row on its slack.
+    sign = np.where(b < 0, -1.0, 1.0)
+    slack_rows = np.arange(n_slack)
+    art_rows = np.flatnonzero((b < 0) | (np.arange(m) >= n_slack))
+    art_cols = n + n_slack + np.arange(art_rows.size)
+    ncols = n + n_slack + art_rows.size
     T = np.zeros((m, ncols + 1))
-    basis = np.full(m, -1, dtype=np.int64)
-    art_cols = []
-    s = 0
-    for r in range(m):
-        a = rows[r].copy()
-        b = rhs[r]
-        slack_col = -1
-        if kinds[r] == "ub":
-            slack_col = n + s
-            s += 1
-        sign = 1.0
-        if b < 0:
-            sign = -1.0
-            a = -a
-            b = -b
-        T[r, :n] = a
-        if slack_col >= 0:
-            T[r, slack_col] = sign
-        T[r, -1] = b
-        if slack_col >= 0 and sign > 0:
-            basis[r] = slack_col
-        else:
-            col = n + n_slack + r
-            T[r, col] = 1.0
-            basis[r] = col
-            art_cols.append(col)
-        # rows with negated slack need an artificial to start feasible
+    T[:, :n] = sign[:, None] * A
+    T[slack_rows, n + slack_rows] = sign[:n_slack]
+    T[art_rows, art_cols] = 1.0
+    T[:, -1] = sign * b
+    basis = n + np.arange(m, dtype=np.int64)
+    basis[art_rows] = art_cols
 
     art_mask = np.zeros(ncols, dtype=bool)
     art_mask[art_cols] = True
 
     # Phase 1: drive artificials to zero.
-    if art_cols:
+    pivots1 = 0
+    if art_rows.size:
         cost1 = np.zeros(ncols + 1)
         cost1[art_cols] = -1.0
         allowed = np.ones(ncols, dtype=bool)
-        status = _simplex_core(T, basis, cost1, allowed)
+        status, pivots1 = _simplex_core(T, basis, cost1, allowed)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")
         obj1 = float(cost1[basis] @ T[:, -1])
         if obj1 < -_FEAS_TOL:
-            return LpSolution("infeasible", None, None)
-        _drive_out_artificials(T, basis, art_mask, n + n_slack)
+            return LpSolution("infeasible", None, None, (pivots1, 0))
+        pivots1 += _drive_out_artificials(T, basis, art_mask, n + n_slack)
 
     cost2 = np.zeros(ncols + 1)
     cost2[:n] = c
     allowed = ~art_mask
-    status = _simplex_core(T, basis, cost2, allowed)
+    status, pivots2 = _simplex_core(T, basis, cost2, allowed)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None)
+        return LpSolution("unbounded", None, None, (pivots1, pivots2))
     x = np.zeros(ncols)
     x[basis] = T[:, -1]
     xr = x[:n].copy()
-    return LpSolution("optimal", xr, float(c @ xr))
+    return LpSolution("optimal", xr, float(c @ xr), (pivots1, pivots2))

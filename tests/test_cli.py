@@ -967,7 +967,9 @@ class TestWorkBudget:
 
         from minorant import cli, lp
 
-        # The estimate is the size of the tableau solve_lp builds.
+        # The estimate is the worst case of one artificial per row; the
+        # tableau solve_lp builds has one per equality row and per row with a
+        # negative right-hand side: 5 x (4 + 3 + 3 + 1) cells here.
         sizes = set()
         real = lp._simplex_core
 
@@ -976,8 +978,10 @@ class TestWorkBudget:
             return real(T, *args)
 
         monkeypatch.setattr(lp, "_simplex_core", spy)
-        lp.solve_lp(np.ones(4), np.ones((3, 4)), np.ones(3), np.ones((2, 4)), np.ones(2))
-        assert sizes == {cli._lp_cells(3, 2, 4)}
+        b_ub = np.array([1.0, -1.0, 1.0])
+        lp.solve_lp(np.ones(4), np.ones((3, 4)), b_ub, np.ones((2, 4)), np.ones(2))
+        assert sizes == {5 * (4 + 3 + 3 + 1)}
+        assert cli._lp_cells(3, 2, 4) == 5 * (4 + 3 + 5 + 1)
 
         # One equality row over n - 2 variables is a 1 x n tableau.
         at_cap = (0, 1, cli.MAX_TABLEAU_CELLS - 2)
@@ -1052,18 +1056,31 @@ class TestWorkBudget:
     @pytest.mark.parametrize("name", sorted(n for n in GOLDEN
                                             if not n.startswith(("gauge", "gen", "verify"))))
     def test_estimates_match_the_solve(self, monkeypatch, name):
+        import numpy as np
+
         from minorant import cli, hbl, lp, mok, synth
 
         estimated, built = [], {"cells": 0, "scan": 0}
         real_check, real_core, real_scan = cli._check_work, lp._simplex_core, mok.midpoint_scan
+        real_solve, exact = lp.solve_lp, []
 
         def check(path, keys, pieces, *lps):
             estimated.append((keys * (keys + 1) // 2 * keys * pieces,
                               max(cli._lp_cells(*lp) for lp in lps)))
             real_check(path, keys, pieces, *lps)
 
+        def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+            # The estimate is the worst case on the shapes solve_lp receives;
+            # the tableau has one artificial per equality row and per row
+            # with a negative right-hand side.
+            n, n_ub, n_eq = len(c), len(b_ub), 0 if b_eq is None else len(b_eq)
+            n_art = n_eq + int(np.count_nonzero(np.asarray(b_ub) < 0))
+            built["cells"] = max(built["cells"], cli._lp_cells(n_ub, n_eq, n))
+            exact.append((n_ub + n_eq) * (n + n_ub + n_art + 1))
+            return real_solve(c, A_ub, b_ub, A_eq, b_eq)
+
         def core(T, *args):
-            built["cells"] = max(built["cells"], T.size)
+            assert T.size == exact[-1]
             return real_core(T, *args)
 
         def scan(gains, payload, tol):
@@ -1075,6 +1092,8 @@ class TestWorkBudget:
         monkeypatch.setattr(lp, "_simplex_core", core)
         for module in (mok, synth, hbl):
             monkeypatch.setattr(module, "midpoint_scan", scan)
+        for module in (synth, hbl):
+            monkeypatch.setattr(module, "solve_lp", solve)
         kind, text, flags = _golden_documents()[name]
         run_problem_text(text)
         assert estimated == [(built["scan"], built["cells"])]

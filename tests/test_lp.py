@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 import minorant.lp as lp_mod
-from minorant.lp import _MAX_ITER, _PIVOT_TOL, LpError, solve_lp
+from minorant.lp import _FEAS_TOL, _MAX_ITER, _PIVOT_TOL, LpError, LpSolution, solve_lp
 
 
 def test_single_bound():
@@ -100,10 +100,13 @@ class _Counts:
         self.ties = 0           # ratio-test ties broken on the basis index
         self.phase1 = 0         # phase-1 runs (some row started artificial)
         self.pivot_outs = 0     # leftover artificials pivoted out after phase 1
+        self.pivots = [0, 0]    # pivots made in phase 1 (with pivot-outs), phase 2
+        self.phase = 0
 
 
 def _reference(counts: _Counts):
     def pivot(T, basis, row, col):
+        counts.pivots[counts.phase] += 1
         T[row] /= T[row, col]
         piv = T[row]
         for r in range(T.shape[0]):
@@ -112,11 +115,13 @@ def _reference(counts: _Counts):
         basis[row] = col
 
     def simplex_core(T, basis, cost, allowed):
-        if np.any(cost < 0.0):
-            counts.phase1 += 1
+        # Phase 1 allows every column and starts with artificials (cost -1)
+        # in the basis; phase 2 blocks the artificials or starts on slacks.
+        counts.phase = 0 if allowed.all() and np.any(cost[basis] != 0.0) else 1
+        counts.phase1 += counts.phase == 0
         m, ncols = T.shape
         n = ncols - 1
-        for _ in range(_MAX_ITER):
+        for it in range(_MAX_ITER):
             y = cost[basis]
             reduced = y @ T[:, :n] - cost[:n]
             enter = -1
@@ -125,7 +130,7 @@ def _reference(counts: _Counts):
                     enter = j
                     break
             if enter < 0:
-                return "optimal"
+                return "optimal", it
             leave = -1
             best_ratio = np.inf
             for r in range(m):
@@ -140,20 +145,90 @@ def _reference(counts: _Counts):
                         best_ratio = ratio
                         leave = r
             if leave < 0:
-                return "unbounded"
+                return "unbounded", it
             pivot(T, basis, leave, enter)
         raise LpError("simplex iteration cap exceeded")
 
     def drive_out_artificials(T, basis, art_mask, n_real):
+        counts.phase = 0
+        made = 0
         for r in range(T.shape[0]):
             if art_mask[basis[r]]:
                 for j in range(n_real):
                     if abs(T[r, j]) > _PIVOT_TOL:
                         counts.pivot_outs += 1
+                        made += 1
                         pivot(T, basis, r, j)
                         break
+        return made
 
     return pivot, simplex_core, drive_out_artificials
+
+
+def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """The original tableau layout, with one artificial column per row (the
+    unused ones stay zero), solved by the reference loops."""
+    pivot, simplex_core, drive_out = _reference(_Counts())
+    c = np.asarray(c, dtype=np.float64).reshape(-1)
+    n = c.size
+    rows, rhs, kinds = [], [], []
+    for A, b, kind in ((A_ub, b_ub, "ub"), (A_eq, b_eq, "eq")):
+        if A is not None:
+            A = np.asarray(A, dtype=np.float64).reshape(-1, n)
+            b = np.asarray(b, dtype=np.float64).reshape(-1)
+            for r in range(A.shape[0]):
+                rows.append(A[r])
+                rhs.append(b[r])
+                kinds.append(kind)
+    m = len(rows)
+    if m == 0:
+        if np.any(c > 0):
+            return LpSolution("unbounded", None, None)
+        return LpSolution("optimal", np.zeros(n), 0.0)
+    n_slack = kinds.count("ub")
+    ncols = n + n_slack + m
+    T = np.zeros((m, ncols + 1))
+    basis = np.full(m, -1, dtype=np.int64)
+    art_cols = []
+    s = 0
+    for r in range(m):
+        a, b = rows[r].copy(), rhs[r]
+        slack_col = -1
+        if kinds[r] == "ub":
+            slack_col = n + s
+            s += 1
+        sign = 1.0
+        if b < 0:
+            sign, a, b = -1.0, -a, -b
+        T[r, :n] = a
+        if slack_col >= 0:
+            T[r, slack_col] = sign
+        T[r, -1] = b
+        if slack_col >= 0 and sign > 0:
+            basis[r] = slack_col
+        else:
+            col = n + n_slack + r
+            T[r, col] = 1.0
+            basis[r] = col
+            art_cols.append(col)
+    art_mask = np.zeros(ncols, dtype=bool)
+    art_mask[art_cols] = True
+    if art_cols:
+        cost1 = np.zeros(ncols + 1)
+        cost1[art_cols] = -1.0
+        simplex_core(T, basis, cost1, np.ones(ncols, dtype=bool))
+        if float(cost1[basis] @ T[:, -1]) < -_FEAS_TOL:
+            return LpSolution("infeasible", None, None)
+        drive_out(T, basis, art_mask, n + n_slack)
+    cost2 = np.zeros(ncols + 1)
+    cost2[:n] = c
+    status, _ = simplex_core(T, basis, cost2, ~art_mask)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None)
+    x = np.zeros(ncols)
+    x[basis] = T[:, -1]
+    xr = x[:n].copy()
+    return LpSolution("optimal", xr, float(c @ xr))
 
 
 BEALE = (
@@ -199,6 +274,19 @@ def _corpus_case(seed: int):
 CORPUS = [BEALE] + [_corpus_case(seed) for seed in range(120)]
 
 
+def _dense_case(m: int, n: int, seed: int = 0):
+    """A dense random LP: m - n rows with right-hand sides >= 0.1 and the
+    box 0 <= x <= 1, so the origin is feasible and every pivot column is
+    mostly nonzero."""
+    rng = np.random.default_rng(seed)
+    A_ub = np.vstack([rng.uniform(-1, 1, (m - n, n)), np.eye(n)])
+    b_ub = np.concatenate([rng.uniform(0.1, 1, m - n), np.ones(n)])
+    return rng.uniform(-1, 1, n), A_ub, b_ub, None, None
+
+
+DENSE = {f"{m}x{n}": _dense_case(m, n) for m, n in ((130, 30), (240, 40), (350, 50))}
+
+
 def _solve_with(case, monkeypatch=None, counts=None):
     if monkeypatch is not None:
         pivot, core, drive_out = _reference(counts)
@@ -224,6 +312,62 @@ def test_vectorized_simplex_matches_loop_reference(index, monkeypatch):
     with monkeypatch.context() as mp:
         want = _solve_with(case, mp, _Counts())
     _same_bits(got, want)
+
+
+@pytest.mark.parametrize("case", [*CORPUS, *DENSE.values()],
+                         ids=[*map(str, range(len(CORPUS))), *DENSE])
+def test_compact_layout_matches_seed_layout(case):
+    # The seed's tableau gave every row an artificial column; solve_lp gives
+    # one only to the rows that start on it.  Bland's order and every bit of
+    # the solution must be the same.
+    _same_bits(solve_lp(*case), _seed_solve_lp(*case))
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_pivot_counts_match_loop_reference(index, monkeypatch):
+    case = CORPUS[index]
+    got = _solve_with(case)
+    counts = _Counts()
+    with monkeypatch.context() as mp:
+        want = _solve_with(case, mp, counts)
+    assert got.pivots == want.pivots == tuple(counts.pivots)
+
+
+def test_pivot_takes_both_branches(monkeypatch):
+    # `_pivot` updates rows in place under a mask when more than half of
+    # them have a nonzero in the pivot column, and gathers them otherwise.
+    dense = sparse = 0
+    real = lp_mod._pivot
+
+    def spy(T, basis, row, col):
+        nonlocal dense, sparse
+        nonzero = np.count_nonzero(T[:, col]) - 1
+        dense += 2 * nonzero > T.shape[0]
+        sparse += 2 * nonzero <= T.shape[0]
+        real(T, basis, row, col)
+
+    monkeypatch.setattr(lp_mod, "_pivot", spy)
+    for case in [*CORPUS, DENSE["130x30"]]:
+        solve_lp(*case)
+    assert dense > 0 and sparse > 0
+
+
+@pytest.mark.parametrize("nonzero_rows", [1, 4])
+def test_pivot_keeps_signed_zeros(nonzero_rows):
+    # Row 5 has a zero in the pivot column, so it must stay untouched: its
+    # -0.0 would become +0.0 under -0.0 - (0.0 * -2.0).  One nonzero row
+    # takes the gathered branch, four take the masked one.
+    T = np.arange(1.0, 31.0).reshape(6, 5)
+    T[0] = [2.0, -2.0, 1.0, 3.0, 4.0]
+    T[1 + nonzero_rows:, 0] = 0.0
+    T[5, 1] = -0.0
+    want = T.copy()
+    _reference(_Counts())[0](want, np.zeros(6, dtype=np.int64), 0, 0)
+    basis = np.zeros(6, dtype=np.int64)
+    lp_mod._pivot(T, basis, 0, 0)
+    assert T.tobytes() == want.tobytes()
+    assert np.signbit(T[5, 1]) and T[5, 1] == 0.0
+    assert basis[0] == 0
 
 
 def test_corpus_reaches_every_path(monkeypatch):
