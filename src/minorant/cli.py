@@ -174,9 +174,11 @@ MAX_GEN_FLOATS = 1_000_000          # floats of one generated instance
 
 
 def _lp_cells(n_ub: int, n_eq: int, nvars: int) -> int:
-    """Cells of the tableau `lp.solve_lp` builds: one row per constraint;
-    the variables, one slack per inequality, one artificial per row, and the
-    right-hand side as columns."""
+    """Worst-case cells of the tableau `lp.solve_lp` builds: one row per
+    constraint; the variables, one slack per inequality, one artificial per
+    row, and the right-hand side as columns.  The solver gives an artificial
+    only to equality rows and rows with a negative right-hand side, so its
+    tableau is at most this size."""
     rows = n_ub + n_eq
     return rows * (nvars + n_ub + rows + 1)
 

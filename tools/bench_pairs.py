@@ -14,8 +14,8 @@ For every workload and seed the record holds, per end-to-end metric of
 ``BENCHMARK.json``: each side's runs, median and quartiles, the parent's
 interquartile range, how much worse the change's median is (a negative
 fraction is better) and how many pairs the change won, ties counting for
-neither.  It also holds one ``--trace 1`` run per workload and side on the
-first seed, and both SHAs.  The file is rewritten after every pair, so an
+neither.  It also holds one 10 s ``--trace 1`` run per workload and side on
+the first seed, and both SHAs.  The file is rewritten after every pair, so an
 interrupted session keeps what it measured.
 """
 
@@ -34,6 +34,7 @@ import tempfile
 ROOT = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
                       text=True, check=True,
                       cwd=os.path.dirname(os.path.abspath(__file__))).stdout.strip()
+TRACE_SECONDS = 10.0  # length of the one traced run per workload and side
 
 
 def _export(rev: str, dest: str) -> str:
@@ -98,7 +99,6 @@ def main() -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    ap.add_argument("--trace-seconds", type=float, default=10.0)
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
@@ -110,7 +110,7 @@ def main() -> int:
             "parent": {"rev": args.parent, "sha": _export(args.parent, trees["parent"])},
             "change": {"rev": args.change, "sha": _export(args.change, trees["change"])},
             "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                         "trace_seconds": args.trace_seconds, "seeds": args.seeds},
+                         "trace_seconds": TRACE_SECONDS, "seeds": args.seeds},
             "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                      "python": platform.python_version()},
             "workloads": {},
@@ -138,7 +138,7 @@ def main() -> int:
                         entry["seeds"][str(seed)] = _summary(pairs, bench["end_to_end"])
                         save()
             entry["trace"] = {"seed": args.seeds[0], **{
-                side: _run(trees[side], workload, args.seeds[0], args.trace_seconds, 1)
+                side: _run(trees[side], workload, args.seeds[0], TRACE_SECONDS, 1)
                 for side in ("parent", "change")}}
             save()
     return 0
