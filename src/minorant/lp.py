@@ -17,7 +17,7 @@ Convention: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class LpSolution:
     status: str                  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]      # primal point when optimal
     value: Optional[float]       # objective value when optimal
-    pivots: Tuple[int, int] = (0, 0)  # phase 1 (with pivot-outs), phase 2
 
     @property
     def is_optimal(self) -> bool:
@@ -48,33 +47,29 @@ class LpSolution:
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     # Rows with a zero in the pivot column are left alone, so no signed
-    # zero can flip; every other row gets T[r] - T[r, col] * T[row].
+    # zero can flip; every other row gets T[r] - T[r, col] * T[row], in
+    # place under the row mask.
     rows = T[:, col] != 0.0
     rows[row] = False
-    if 2 * np.count_nonzero(rows) > rows.size:
-        # Dense column: update in place under the mask, no row gather.
-        np.subtract(T, np.multiply.outer(T[:, col], T[row]), out=T, where=rows[:, None])
-    else:
-        T[rows] -= np.outer(T[rows, col], T[row])
+    np.subtract(T, np.multiply.outer(T[:, col], T[row]), out=T, where=rows[:, None])
     basis[row] = col
 
 
 def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                  allowed: np.ndarray) -> Tuple[str, int]:
+                  allowed: np.ndarray) -> str:
     """Run Bland-rule simplex on tableau T (rows = constraints, last column =
     rhs) maximizing `cost` over columns flagged in `allowed`.
 
-    Returns ("optimal" or "unbounded", pivots made).  T and basis are
-    updated in place.
+    Returns "optimal" or "unbounded".  T and basis are updated in place.
     """
     n = T.shape[1] - 1
-    for pivots in range(_MAX_ITER):
+    for _ in range(_MAX_ITER):
         # Reduced costs: z_j - c_j computed by pricing the basis.
         y = cost[basis]                    # basic objective coefficients
         reduced = y @ T[:, :n] - cost[:n]
         eligible = np.flatnonzero(allowed & (reduced < -_PIVOT_TOL))
         if eligible.size == 0:
-            return "optimal", pivots
+            return "optimal"
         enter = int(eligible[0])            # Bland: lowest eligible index
         # Ratio test with Bland tie-break on the leaving basic variable index.
         # The tie-break is sequential (a tolerance band, not an argmin).
@@ -90,25 +85,22 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                 best_ratio = ratio
                 leave = r
         if leave < 0:
-            return "unbounded", pivots
+            return "unbounded"
         _pivot(T, basis, leave, enter)
     raise LpError("simplex iteration cap exceeded")
 
 
 def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, art_mask: np.ndarray,
-                           n_real: int) -> int:
+                           n_real: int) -> None:
     """After phase 1, pivot each artificial still in the basis onto the first
     of the `n_real` non-artificial columns with a nonzero entry in its row.
     A row with none is redundant; its artificial stays basic at ~0 and is
-    kept blocked in phase 2.  Returns the number of pivots made."""
-    pivots = 0
+    kept blocked in phase 2."""
     for r in range(T.shape[0]):
         if art_mask[basis[r]]:
             nonzero = np.flatnonzero(np.abs(T[r, :n_real]) > _PIVOT_TOL)
             if nonzero.size:
                 _pivot(T, basis, r, int(nonzero[0]))
-                pivots += 1
-    return pivots
 
 
 def solve_lp(
@@ -157,26 +149,25 @@ def solve_lp(
     art_mask[art_cols] = True
 
     # Phase 1: drive artificials to zero.
-    pivots1 = 0
     if art_rows.size:
         cost1 = np.zeros(ncols + 1)
         cost1[art_cols] = -1.0
         allowed = np.ones(ncols, dtype=bool)
-        status, pivots1 = _simplex_core(T, basis, cost1, allowed)
+        status = _simplex_core(T, basis, cost1, allowed)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")
         obj1 = float(cost1[basis] @ T[:, -1])
         if obj1 < -_FEAS_TOL:
-            return LpSolution("infeasible", None, None, (pivots1, 0))
-        pivots1 += _drive_out_artificials(T, basis, art_mask, n + n_slack)
+            return LpSolution("infeasible", None, None)
+        _drive_out_artificials(T, basis, art_mask, n + n_slack)
 
     cost2 = np.zeros(ncols + 1)
     cost2[:n] = c
     allowed = ~art_mask
-    status, pivots2 = _simplex_core(T, basis, cost2, allowed)
+    status = _simplex_core(T, basis, cost2, allowed)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, (pivots1, pivots2))
+        return LpSolution("unbounded", None, None)
     x = np.zeros(ncols)
     x[basis] = T[:, -1]
     xr = x[:n].copy()
-    return LpSolution("optimal", xr, float(c @ xr), (pivots1, pivots2))
+    return LpSolution("optimal", xr, float(c @ xr))

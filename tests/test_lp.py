@@ -100,13 +100,10 @@ class _Counts:
         self.ties = 0           # ratio-test ties broken on the basis index
         self.phase1 = 0         # phase-1 runs (some row started artificial)
         self.pivot_outs = 0     # leftover artificials pivoted out after phase 1
-        self.pivots = [0, 0]    # pivots made in phase 1 (with pivot-outs), phase 2
-        self.phase = 0
 
 
 def _reference(counts: _Counts):
     def pivot(T, basis, row, col):
-        counts.pivots[counts.phase] += 1
         T[row] /= T[row, col]
         piv = T[row]
         for r in range(T.shape[0]):
@@ -115,13 +112,11 @@ def _reference(counts: _Counts):
         basis[row] = col
 
     def simplex_core(T, basis, cost, allowed):
-        # Phase 1 allows every column and starts with artificials (cost -1)
-        # in the basis; phase 2 blocks the artificials or starts on slacks.
-        counts.phase = 0 if allowed.all() and np.any(cost[basis] != 0.0) else 1
-        counts.phase1 += counts.phase == 0
+        if np.any(cost < 0.0):
+            counts.phase1 += 1
         m, ncols = T.shape
         n = ncols - 1
-        for it in range(_MAX_ITER):
+        for _ in range(_MAX_ITER):
             y = cost[basis]
             reduced = y @ T[:, :n] - cost[:n]
             enter = -1
@@ -130,7 +125,7 @@ def _reference(counts: _Counts):
                     enter = j
                     break
             if enter < 0:
-                return "optimal", it
+                return "optimal"
             leave = -1
             best_ratio = np.inf
             for r in range(m):
@@ -145,22 +140,18 @@ def _reference(counts: _Counts):
                         best_ratio = ratio
                         leave = r
             if leave < 0:
-                return "unbounded", it
+                return "unbounded"
             pivot(T, basis, leave, enter)
         raise LpError("simplex iteration cap exceeded")
 
     def drive_out_artificials(T, basis, art_mask, n_real):
-        counts.phase = 0
-        made = 0
         for r in range(T.shape[0]):
             if art_mask[basis[r]]:
                 for j in range(n_real):
                     if abs(T[r, j]) > _PIVOT_TOL:
                         counts.pivot_outs += 1
-                        made += 1
                         pivot(T, basis, r, j)
                         break
-        return made
 
     return pivot, simplex_core, drive_out_artificials
 
@@ -222,7 +213,7 @@ def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         drive_out(T, basis, art_mask, n + n_slack)
     cost2 = np.zeros(ncols + 1)
     cost2[:n] = c
-    status, _ = simplex_core(T, basis, cost2, ~art_mask)
+    status = simplex_core(T, basis, cost2, ~art_mask)
     if status == "unbounded":
         return LpSolution("unbounded", None, None)
     x = np.zeros(ncols)
@@ -323,40 +314,11 @@ def test_compact_layout_matches_seed_layout(case):
     _same_bits(solve_lp(*case), _seed_solve_lp(*case))
 
 
-@pytest.mark.parametrize("index", range(len(CORPUS)))
-def test_pivot_counts_match_loop_reference(index, monkeypatch):
-    case = CORPUS[index]
-    got = _solve_with(case)
-    counts = _Counts()
-    with monkeypatch.context() as mp:
-        want = _solve_with(case, mp, counts)
-    assert got.pivots == want.pivots == tuple(counts.pivots)
-
-
-def test_pivot_takes_both_branches(monkeypatch):
-    # `_pivot` updates rows in place under a mask when more than half of
-    # them have a nonzero in the pivot column, and gathers them otherwise.
-    dense = sparse = 0
-    real = lp_mod._pivot
-
-    def spy(T, basis, row, col):
-        nonlocal dense, sparse
-        nonzero = np.count_nonzero(T[:, col]) - 1
-        dense += 2 * nonzero > T.shape[0]
-        sparse += 2 * nonzero <= T.shape[0]
-        real(T, basis, row, col)
-
-    monkeypatch.setattr(lp_mod, "_pivot", spy)
-    for case in [*CORPUS, DENSE["130x30"]]:
-        solve_lp(*case)
-    assert dense > 0 and sparse > 0
-
-
 @pytest.mark.parametrize("nonzero_rows", [1, 4])
 def test_pivot_keeps_signed_zeros(nonzero_rows):
     # Row 5 has a zero in the pivot column, so it must stay untouched: its
-    # -0.0 would become +0.0 under -0.0 - (0.0 * -2.0).  One nonzero row
-    # takes the gathered branch, four take the masked one.
+    # -0.0 would become +0.0 under -0.0 - (0.0 * -2.0).  The pivot column
+    # is sparse (one other nonzero row) or dense (four).
     T = np.arange(1.0, 31.0).reshape(6, 5)
     T[0] = [2.0, -2.0, 1.0, 3.0, 4.0]
     T[1 + nonzero_rows:, 0] = 0.0

@@ -3,7 +3,10 @@ perf record.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH.json
 
-Run from anywhere inside the repository.  Each revision is exported with
+The settings are fixed so that every record answers the same question:
+every workload of ``BENCHMARK.json``, seeds 1 and 2, 10 pairs per workload
+and seed, and runs of ``run_seconds`` from ``BENCHMARK.json``.  Run from
+anywhere inside the repository.  Each revision is exported with
 ``git archive`` into a temporary directory and ``python3 bench/run.py`` runs
 from that copy, so the two sides run their own committed files and nothing
 in the working tree is written but the output file.  Pair i runs the parent
@@ -34,6 +37,8 @@ import tempfile
 ROOT = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
                       text=True, check=True,
                       cwd=os.path.dirname(os.path.abspath(__file__))).stdout.strip()
+SEEDS = (1, 2)
+PAIRS = 10
 TRACE_SECONDS = 10.0  # length of the one traced run per workload and side
 
 
@@ -94,14 +99,8 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="revision of the change side")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--workloads", nargs="+",
-                    default=[w["name"] for w in bench["workloads"]])
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
+    seconds = bench["run_seconds"]
     out_path = os.path.abspath(args.out)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -109,8 +108,8 @@ def main() -> int:
         record = {
             "parent": {"rev": args.parent, "sha": _export(args.parent, trees["parent"])},
             "change": {"rev": args.change, "sha": _export(args.change, trees["change"])},
-            "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                         "trace_seconds": TRACE_SECONDS, "seeds": args.seeds},
+            "settings": {"pairs": PAIRS, "seconds": seconds,
+                         "trace_seconds": TRACE_SECONDS, "seeds": list(SEEDS)},
             "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                      "python": platform.python_version()},
             "workloads": {},
@@ -121,24 +120,24 @@ def main() -> int:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")
 
-        for workload in args.workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             entry = record["workloads"][workload] = {"seeds": {}}
-            for seed in args.seeds:
+            for seed in SEEDS:
                 pairs = []
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    res = {side: _run(trees[side], workload, seed, args.seconds, 0)
+                    res = {side: _run(trees[side], workload, seed, seconds, 0)
                            for side in order}
                     pairs.append((res["parent"], res["change"]))
-                    print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: "
+                    print(f"{workload} seed {seed} pair {i + 1}/{PAIRS}: "
                           f"{res['parent']['metrics']['problems_per_s']['value']:.2f} -> "
                           f"{res['change']['metrics']['problems_per_s']['value']:.2f} "
                           "problems/s", file=sys.stderr)
                     if len(pairs) >= 2:
                         entry["seeds"][str(seed)] = _summary(pairs, bench["end_to_end"])
                         save()
-            entry["trace"] = {"seed": args.seeds[0], **{
-                side: _run(trees[side], workload, args.seeds[0], TRACE_SECONDS, 1)
+            entry["trace"] = {"seed": SEEDS[0], **{
+                side: _run(trees[side], workload, SEEDS[0], TRACE_SECONDS, 1)
                 for side in ("parent", "change")}}
             save()
     return 0
