@@ -6,7 +6,8 @@ Layers:
 * :mod:`minorant.core` — vectors, max-affine functions, polyhedral
   sublinear functionals, affine/linear maps
 * :mod:`minorant.gauge` — the epigraph gauge of a shifted convex function
-* :mod:`minorant.lp` — self-contained dense simplex (Bland's rule)
+* :mod:`minorant.lp` — self-contained dense simplex (Dantzig pricing,
+  Bland fallback)
 * :mod:`minorant.rng` — the seeded SplitMix64 generator
 * :mod:`minorant.scan` — the pairwise midpoint hypothesis scan
 * :mod:`minorant.mok` — linear functionals tight over finite sets

@@ -1,10 +1,15 @@
-"""Self-contained dense two-phase simplex with Bland's anti-cycling rule.
+"""Self-contained dense two-phase simplex: Dantzig pricing with a Bland
+fallback.
 
 This is deliberately dependency-free and deterministic: the pivot rule is
-fixed (lowest eligible index enters, lowest-index basic variable leaves on
-ratio ties), so identical inputs produce bit-identical solutions.  Problem
-sizes here are modest: tens of variables, and one row per vertex on the
-polytope forms (up to a few hundred rows on the benchmark), so a dense
+fixed, so identical inputs produce bit-identical solutions.  The column
+with the most negative reduced cost enters (lowest index on ties), and the
+lowest-index basic variable leaves on ratio ties.  After
+`_DEGENERATE_LIMIT` consecutive degenerate pivots the phase switches to
+Bland's rule (lowest eligible index enters) for good, so it cannot cycle.
+
+Problem sizes here are modest: tens of variables, and one row per vertex on
+the polytope forms (up to a few hundred rows on the benchmark), so a dense
 tableau is the right tool.
 
 Tableau layout: the variables, one slack per inequality row, one artificial
@@ -26,11 +31,12 @@ __all__ = ["LpSolution", "solve_lp", "LpError"]
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
 _MAX_ITER = 20000
+_DEGENERATE_LIMIT = 50   # consecutive degenerate pivots before Bland's rule
 
 
 class LpError(RuntimeError):
-    """Internal solver failure (iteration cap hit); should not occur under
-    Bland's rule on well-posed inputs."""
+    """Internal solver failure (iteration cap hit); should not occur on
+    well-posed inputs, since a stalled phase falls back to Bland's rule."""
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,15 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                   allowed: np.ndarray) -> str:
-    """Run Bland-rule simplex on tableau T (rows = constraints, last column =
-    rhs) maximizing `cost` over columns flagged in `allowed`.
+    """Run the simplex on tableau T (rows = constraints, last column = rhs)
+    maximizing `cost` over columns flagged in `allowed`: Dantzig pricing,
+    then Bland's rule once `_DEGENERATE_LIMIT` pivots in a row are
+    degenerate (leaving ratio within `_PIVOT_TOL` of zero).
 
     Returns "optimal" or "unbounded".  T and basis are updated in place.
     """
     n = T.shape[1] - 1
+    degenerate = 0                         # consecutive degenerate pivots
     for _ in range(_MAX_ITER):
         # Reduced costs: z_j - c_j computed by pricing the basis.
         y = cost[basis]                    # basic objective coefficients
@@ -70,7 +79,11 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         eligible = np.flatnonzero(allowed & (reduced < -_PIVOT_TOL))
         if eligible.size == 0:
             return "optimal"
-        enter = int(eligible[0])            # Bland: lowest eligible index
+        if degenerate < _DEGENERATE_LIMIT:
+            # Dantzig: most negative reduced cost, lowest index on ties.
+            enter = int(eligible[np.argmin(reduced[eligible])])
+        else:
+            enter = int(eligible[0])        # Bland: lowest eligible index
         # Ratio test with Bland tie-break on the leaving basic variable index.
         # The tie-break is sequential (a tolerance band, not an argmin).
         rows = np.flatnonzero(T[:, enter] > _PIVOT_TOL)
@@ -86,6 +99,8 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                 leave = r
         if leave < 0:
             return "unbounded"
+        if degenerate < _DEGENERATE_LIMIT:  # once reached, Bland holds
+            degenerate = degenerate + 1 if best_ratio <= _PIVOT_TOL else 0
         _pivot(T, basis, leave, enter)
     raise LpError("simplex iteration cap exceeded")
 

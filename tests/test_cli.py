@@ -354,11 +354,11 @@ class TestToleranceExitCodes:
             return {"sublinears": [{"pieces": S.pieces.tolist()} for S in H.sublinears],
                     "tables": [t.tolist() for t in H.tables]}
 
-        code, rep = self._run(tmp_path, capsys, doc("solve-hbl", payload(3)), "solve-hbl")
+        code, rep = self._run(tmp_path, capsys, doc("solve-hbl", payload(5)), "solve-hbl")
         gap = rep["certificate"]["gap"]
         assert code == EXIT_OK and gap != 0.0
         tight = {"tol_lp": abs(gap) / 2}
-        code, _ = self._run(tmp_path, capsys, doc("solve-hbl", payload(3), tolerances=tight),
+        code, _ = self._run(tmp_path, capsys, doc("solve-hbl", payload(5), tolerances=tight),
                             "solve-hbl")
         assert code == EXIT_NUMERICAL
         # A violated hypothesis is reported as such, whatever the tolerances.
@@ -753,12 +753,12 @@ def _golden_documents():
 
 # SHA-256 of each golden report, and its exit code.
 GOLDEN = {
-    "affine-points": ("963e276008b250eef7eed9afa9771d5892e1ed0bbfbaf2f7fed485e0ace76095", 0),
+    "affine-points": ("aaddad1a84d1d85c5cf9dfdb4a7f37520b4f186da50eaea63be55c89968a43e4", 0),
     "affine-points-violated": ("4915e33da4d0ec8cbe25907c5a5e52dec99eb63956a170aaa841bdad271f77b4", 1),
-    "affine-polytope": ("818fa3b2f82f9ee84c954bf654c614805a4ca090a3c441b179f1b3352688bd81", 0),
-    "cahbl-finite": ("bb8c66f5364cb5d84d99902341081bebc2ede965d939a0e9308c059ec34fc167", 0),
-    "cahbl-polytope-affine": ("a6090b1cfc759a223da261333c8867468274b7481a5e8e5c94c1e9800c3cc9f7", 0),
-    "cahbl-polytope-max-affine": ("b0947ace4374d6b8e9f676b275164d81e20aff5212850bb0576215fa9d38cdc3", 0),
+    "affine-polytope": ("6671bbed3bce23ea2bd5701531eea75778c5cc447247b77a1507019b09bfab31", 0),
+    "cahbl-finite": ("268f2476375a467391f9bf5d2c082ac02d9c110c068c9744a2caa6a2e713e236", 0),
+    "cahbl-polytope-affine": ("b6dc7f00caff5deea2f925bedfc04a919773e37b2bfc207295e8125c8622857f", 0),
+    "cahbl-polytope-max-affine": ("98bab8feaea4c3e356156f31cb8681cbe54b865a2c0a85df50a06aeb112a5cef", 0),
     "cahbl-polytope-max-affine-ok": ("36a4bb8998cbf8cffad0b15a1c62cc6f4f974fff6655a68cc7a50ccef3696941", 0),
     "gauge-root": ("0ca67c3a93520c45f2a0f206c5268fb7bfbc0b60d3811764e7188571a4337186", 0),
     "gauge-zero": ("27b14ca7b6b8be95caa6dccaff85c540c2be00dedca8f8186bf55ba2c11eef06", 0),
@@ -767,18 +767,18 @@ GOLDEN = {
     "gen-polytope": ("abc1e9545eb596abf992cf1b439f44d0e55a97505a79752ed3619a36d0c96442", 0),
     "gen-scored-set": ("5bb66bedb817b7738cae895b25e52eb06a1892e58437217b8457cef1055f9f83", 0),
     "hbl-finite": ("a1f2ccb82287f51906529933c8921d44e9da62552796c2cdc7cfd15f882bddad", 0),
-    "hbl-finite-violated": ("f34e4051279357b13e6b4e7609f0f5d7b53fbae5c3fb19d05bb744715888ac7c", 1),
-    "hbl-polytope-affine": ("80e632a451e72b7d530eaf9b3680b6e77bc34bd9550598d78dfde4de72b5016c", 0),
+    "hbl-finite-violated": ("6550e2a1ae712334a74883c4f0f96307543a62b3d198bc585098c034cef21b9a", 1),
+    "hbl-polytope-affine": ("49854d82a0f0cd65911be4ec1b55e2194ea572cb0bafa4e9f22cb8b969617d09", 0),
     "hbl-polytope-max-affine": ("7b97edf37f584132a06a1a3128c3b70d9a375739d58cfe5c1e8291027e531930", 0),
-    "hbl-product": ("4bf08b05bb4f012771ad90da25afeab9d186699544773d90a20779a099e9b5e0", 0),
+    "hbl-product": ("c73a584d865a2049cfefc1487b47405fd54d4125511d29c16e5c92c004da7911", 0),
     "hbl-product-payload": ("a4f691d6e305ed44f74146ab00e9f97715765223428d9589e8634648f0eb2abf", 0),
     "mok-satisfied": ("1b3527de1bf7eeb0b13d34545cd139b3fb6ecd48d143f61057c69aee6c5b857f", 0),
-    "mok-violated": ("90f46ac4e36b4c4e80314308598f18b2e04d99902dedb9cf0aaf1eaadb9901e5", 1),
+    "mok-violated": ("6d65ef988d540c35c1646202711b02a0be97be6e355e5ef83babc95d360d92d2", 1),
     "sun-points": ("28fd6ac81d7825ba87309f116e76791d68f185d2a6da61364e83a3715a4bacba", 0),
-    "sun-vertices": ("14e981b222a88ba2bea3724874d6609f61e275bd0d991a0e84ddf2e29a89aae7", 0),
-    "tol-gap-flag": ("91acc8297cfa25ff30503bda9b029306809ea96933994aac60c14d9a2b1a1258", 0),
-    "tolerances": ("459f1aa1eabd89f2152ac5ef15230e90001a9565a89d7d2352939035199d2ea2", 2),
-    "verify": ("0d49c4626ea51c00d14da079cae90a08bfd28caed0451a6e14def279bdc13b90", 0),
+    "sun-vertices": ("54f7d75700eee36a2bab85ade8afdab1e36a59360641772419bb1b231e350aaf", 0),
+    "tol-gap-flag": ("8fba0d5984c0d7ebd13042a05228067320e3340b29e6f55b322959b7794b8ac5", 0),
+    "tolerances": ("1b42b8db7bc7097cb4f4df90154894fcab2e1301da93b014b557bd02ecd6806b", 2),
+    "verify": ("12d4d1730a48140c1c855ed7a1d602207e47ced05f06dae021fbeed510229a8a", 0),
 }
 
 
@@ -869,7 +869,7 @@ class TestDominationTolerance:
     tol_dom."""
 
     # (golden document, its residual that exceeds 1e-16)
-    CASES = [("affine-points", "worst_deficit"), ("sun-vertices", "slope_residual")]
+    CASES = [("cahbl-polytope-affine", "worst_deficit"), ("sun-vertices", "slope_residual")]
 
     @pytest.mark.parametrize("name,field", CASES)
     def test_residuals_against_tol_dom(self, tmp_path, capsys, name, field):

@@ -3,7 +3,9 @@ import pytest
 from scipy.optimize import linprog
 
 import minorant.lp as lp_mod
-from minorant.lp import _FEAS_TOL, _MAX_ITER, _PIVOT_TOL, LpError, LpSolution, solve_lp
+from minorant.lp import (
+    _DEGENERATE_LIMIT, _FEAS_TOL, _MAX_ITER, _PIVOT_TOL, LpError, LpSolution, solve_lp,
+)
 
 
 def test_single_bound():
@@ -41,8 +43,8 @@ def test_equality_and_inequality():
 
 
 def test_beale_cycling_instance():
-    # Beale's classic degenerate instance, known to cycle under naive
-    # Dantzig pivoting; Bland's rule must terminate at the optimum 0.05.
+    # Beale's classic degenerate instance, known to cycle under pure
+    # Dantzig pricing; the Bland fallback must end it at the optimum 0.05.
     # maximize 0.75 x1 - 150 x2 + 0.02 x3 - 6 x4
     c = np.array([0.75, -150.0, 0.02, -6.0])
     A_ub = np.array([
@@ -90,7 +92,7 @@ def test_deterministic():
 
 # ---------------------------------------------------------------------------
 # Equivalence with the element-at-a-time simplex.  The row loop of `_pivot`,
-# the Bland selection loops and the artificial pivot-out loop below are the
+# the selection loops and the artificial pivot-out loop below are the
 # original implementation, kept as the reference oracle; the vectorized
 # solver must give the same bits.
 
@@ -100,10 +102,16 @@ class _Counts:
         self.ties = 0           # ratio-test ties broken on the basis index
         self.phase1 = 0         # phase-1 runs (some row started artificial)
         self.pivot_outs = 0     # leftover artificials pivoted out after phase 1
+        self.pivots = 0         # every pivot, pivot-outs included
+        self.bland_fallbacks = 0  # phases that switched to Bland's rule
 
 
-def _reference(counts: _Counts):
+def _reference(counts: _Counts, degenerate_limit: int = _DEGENERATE_LIMIT):
+    """The loop solver.  Entry is on the most negative reduced cost (lowest
+    index on ties) until `degenerate_limit` consecutive degenerate pivots,
+    then on Bland's lowest eligible index; 0 gives Bland's rule throughout."""
     def pivot(T, basis, row, col):
+        counts.pivots += 1
         T[row] /= T[row, col]
         piv = T[row]
         for r in range(T.shape[0]):
@@ -116,14 +124,18 @@ def _reference(counts: _Counts):
             counts.phase1 += 1
         m, ncols = T.shape
         n = ncols - 1
+        degenerate = 0
         for _ in range(_MAX_ITER):
             y = cost[basis]
             reduced = y @ T[:, :n] - cost[:n]
             enter = -1
             for j in range(n):
-                if allowed[j] and reduced[j] < -_PIVOT_TOL:
+                if allowed[j] and reduced[j] < -_PIVOT_TOL and (
+                    enter < 0 or reduced[j] < reduced[enter]
+                ):
                     enter = j
-                    break
+                    if degenerate >= degenerate_limit:
+                        break
             if enter < 0:
                 return "optimal"
             leave = -1
@@ -141,6 +153,9 @@ def _reference(counts: _Counts):
                         leave = r
             if leave < 0:
                 return "unbounded"
+            if degenerate < degenerate_limit:
+                degenerate = degenerate + 1 if best_ratio <= _PIVOT_TOL else 0
+                counts.bland_fallbacks += degenerate == degenerate_limit
             pivot(T, basis, leave, enter)
         raise LpError("simplex iteration cap exceeded")
 
@@ -278,9 +293,9 @@ def _dense_case(m: int, n: int, seed: int = 0):
 DENSE = {f"{m}x{n}": _dense_case(m, n) for m, n in ((130, 30), (240, 40), (350, 50))}
 
 
-def _solve_with(case, monkeypatch=None, counts=None):
+def _solve_with(case, monkeypatch=None, counts=None, degenerate_limit=_DEGENERATE_LIMIT):
     if monkeypatch is not None:
-        pivot, core, drive_out = _reference(counts)
+        pivot, core, drive_out = _reference(counts, degenerate_limit)
         monkeypatch.setattr(lp_mod, "_pivot", pivot)
         monkeypatch.setattr(lp_mod, "_simplex_core", core)
         monkeypatch.setattr(lp_mod, "_drive_out_artificials", drive_out)
@@ -309,8 +324,8 @@ def test_vectorized_simplex_matches_loop_reference(index, monkeypatch):
                          ids=[*map(str, range(len(CORPUS))), *DENSE])
 def test_compact_layout_matches_seed_layout(case):
     # The seed's tableau gave every row an artificial column; solve_lp gives
-    # one only to the rows that start on it.  Bland's order and every bit of
-    # the solution must be the same.
+    # one only to the rows that start on it.  The pivot order and every bit
+    # of the solution must be the same.
     _same_bits(solve_lp(*case), _seed_solve_lp(*case))
 
 
@@ -342,6 +357,22 @@ def test_corpus_reaches_every_path(monkeypatch):
     assert counts.phase1 > 0
     assert counts.pivot_outs > 0
     assert counts.ties > 0
+    assert counts.bland_fallbacks > 0   # Beale's instance
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_dantzig_pricing_takes_fewer_pivots_than_bland(name, monkeypatch):
+    case = DENSE[name]
+    dantzig, bland = _Counts(), _Counts()
+    with monkeypatch.context() as mp:
+        _solve_with(case, mp, dantzig)
+    with monkeypatch.context() as mp:
+        _solve_with(case, mp, bland, degenerate_limit=0)
+    pivots = []
+    pivot = lp_mod._pivot
+    monkeypatch.setattr(lp_mod, "_pivot", lambda *args: pivots.append(pivot(*args)))
+    solve_lp(*case)
+    assert len(pivots) == dantzig.pivots < bland.pivots
 
 
 @pytest.mark.parametrize("seed", range(40))
