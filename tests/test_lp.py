@@ -363,13 +363,12 @@ def test_corpus_reaches_every_path(monkeypatch):
 def test_bland_fallback_matches_loop_reference(monkeypatch):
     # With a limit of 1, the first degenerate pivot switches its phase to
     # Bland's rule for the rest of the phase; both solvers must agree.
+    monkeypatch.setattr(lp_mod, "_DEGENERATE_LIMIT", 1)
     counts = _Counts()
     for case in CORPUS:
         with monkeypatch.context() as mp:
             want = _solve_with(case, mp, counts, degenerate_limit=1)
-        with monkeypatch.context() as mp:
-            mp.setattr(lp_mod, "_DEGENERATE_LIMIT", 1)
-            _same_bits(solve_lp(*case), want)
+        _same_bits(solve_lp(*case), want)
     assert counts.bland_fallbacks > 1
 
 
