@@ -1,3 +1,5 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -100,16 +102,19 @@ def test_deterministic():
 class _Counts:
     def __init__(self):
         self.ties = 0           # ratio-test ties broken on the basis index
-        self.phase1 = 0         # phase-1 runs (some row started artificial)
+        self.phase1 = 0         # phase-1 runs (the tableau has artificial columns)
         self.pivot_outs = 0     # leftover artificials pivoted out after phase 1
         self.pivots = 0         # every pivot, pivot-outs included
         self.bland_fallbacks = 0  # phases that switched to Bland's rule
 
 
-def _reference(counts: _Counts, degenerate_limit: int = _DEGENERATE_LIMIT):
+def _reference(counts: _Counts, degenerate_limit: int = _DEGENERATE_LIMIT,
+               n_real: Optional[int] = None):
     """The loop solver.  Entry is on the most negative reduced cost (lowest
     index on ties) until `degenerate_limit` consecutive degenerate pivots,
-    then on Bland's lowest eligible index; 0 gives Bland's rule throughout."""
+    then on Bland's lowest eligible index; 0 gives Bland's rule throughout.
+    Columns from `n_real` on are artificial: a run whose cost prices one is
+    phase 1."""
     def pivot(T, basis, row, col):
         counts.pivots += 1
         T[row] /= T[row, col]
@@ -120,7 +125,7 @@ def _reference(counts: _Counts, degenerate_limit: int = _DEGENERATE_LIMIT):
         basis[row] = col
 
     def simplex_core(T, basis, cost, allowed):
-        if np.any(cost < 0.0):
+        if n_real is not None and np.any(cost[n_real:-1] != 0.0):
             counts.phase1 += 1
         m, ncols = T.shape
         n = ncols - 1
@@ -174,7 +179,6 @@ def _reference(counts: _Counts, degenerate_limit: int = _DEGENERATE_LIMIT):
 def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """The original tableau layout, with one artificial column per row (the
     unused ones stay zero), solved by the reference loops."""
-    pivot, simplex_core, drive_out = _reference(_Counts())
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     n = c.size
     rows, rhs, kinds = [], [], []
@@ -192,6 +196,7 @@ def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
             return LpSolution("unbounded", None, None)
         return LpSolution("optimal", np.zeros(n), 0.0)
     n_slack = kinds.count("ub")
+    pivot, simplex_core, drive_out = _reference(_Counts(), n_real=n + n_slack)
     ncols = n + n_slack + m
     T = np.zeros((m, ncols + 1))
     basis = np.full(m, -1, dtype=np.int64)
@@ -295,7 +300,8 @@ DENSE = {f"{m}x{n}": _dense_case(m, n) for m, n in ((130, 30), (240, 40), (350, 
 
 def _solve_with(case, monkeypatch=None, counts=None, degenerate_limit=_DEGENERATE_LIMIT):
     if monkeypatch is not None:
-        pivot, core, drive_out = _reference(counts, degenerate_limit)
+        n_real = len(case[0]) + (0 if case[2] is None else len(case[2]))
+        pivot, core, drive_out = _reference(counts, degenerate_limit, n_real)
         monkeypatch.setattr(lp_mod, "_pivot", pivot)
         monkeypatch.setattr(lp_mod, "_simplex_core", core)
         monkeypatch.setattr(lp_mod, "_drive_out_artificials", drive_out)
@@ -354,7 +360,15 @@ def test_corpus_reaches_every_path(monkeypatch):
         with monkeypatch.context() as mp:
             statuses.add(_solve_with(case, mp, counts).status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
-    assert counts.phase1 > 0
+    # Phase 1 runs once on each case with an equality row or a negative
+    # right-hand side, and on no other; Beale's instance has neither.
+    assert counts.phase1 == sum(
+        A_eq is not None or (b_ub is not None and bool(np.any(b_ub < 0)))
+        for _, _, b_ub, A_eq, _ in CORPUS) > 0
+    beale = _Counts()
+    with monkeypatch.context() as mp:
+        _solve_with(BEALE, mp, beale)
+    assert beale.phase1 == 0 and beale.pivots > 0
     assert counts.pivot_outs > 0
     assert counts.ties > 0
     assert counts.bland_fallbacks > 0   # Beale's instance

@@ -1,4 +1,8 @@
-"""The vectorized midpoint scan agrees with a plain pair-by-pair loop."""
+"""The blocked midpoint scan agrees with a plain pair-by-pair loop, and bit
+for bit with the row kernel it replaced."""
+
+import tracemalloc
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from minorant.core import MaxAffineFn, PolyhedralSublinear
 from minorant.hbl import HblInstance, check_midpoint_hbl
 from minorant.mok import check_midpoint
+from minorant import scan
 from minorant.scan import MidpointReport, midpoint_scan
 from minorant.synth import FiniteScoredSet, check_scored_midpoint
 
@@ -37,6 +42,37 @@ def loop_scan(pieces, tables, payload, tol):
     return MidpointReport(worst is None, witnesses, worst)
 
 
+def row_scan(gains, payload, tol):
+    """The row kernel that preceded the blocked scan, kept verbatim as the
+    bit-exact reference: one row i at a time, every candidate scored for
+    every pair of the row."""
+    k = gains[0].shape[0]
+    witnesses: Dict[Tuple[int, int], int] = {}
+    worst: Optional[Tuple[Tuple[int, int], float]] = None
+    for i in range(k):
+        if payload is None:
+            total = np.zeros((k - i, k))
+        else:
+            total = payload[None, :] - 0.5 * (payload[i] + payload[i:])[:, None]
+        for G in gains:
+            mid = 0.5 * (G[i] + G[i:])                       # (k - i, p)
+            best = G[None, :, 0] - mid[:, 0, None]
+            for col in range(1, G.shape[1]):
+                np.maximum(best, G[None, :, col] - mid[:, col, None], out=best)
+            total += best
+        ok = total <= tol
+        found = ok.any(axis=1)
+        rows = np.flatnonzero(found)
+        for r, c in zip(rows.tolist(), ok[rows].argmax(axis=1).tolist()):
+            witnesses[(i, i + r)] = c
+        if not found.all():
+            least = np.where(found, -np.inf, total.min(axis=1))
+            r = int(np.argmax(least))
+            if worst is None or least[r] > worst[1]:
+                worst = ((i, i + r), float(least[r]))
+    return MidpointReport(worst is None, witnesses, worst)
+
+
 def assert_same(got: MidpointReport, want: MidpointReport):
     assert got.satisfied == want.satisfied
     assert got.witnesses == want.witnesses
@@ -45,6 +81,14 @@ def assert_same(got: MidpointReport, want: MidpointReport):
     else:
         assert got.violation[0] == want.violation[0]
         assert got.violation[1] == pytest.approx(want.violation[1], abs=1e-12)
+
+
+def assert_identical(got: MidpointReport, want: MidpointReport):
+    assert got.satisfied == want.satisfied
+    assert got.witnesses == want.witnesses
+    assert got.violation == want.violation
+    if want.violation is not None:
+        assert np.float64(got.violation[1]).tobytes() == np.float64(want.violation[1]).tobytes()
 
 
 def integer_case(rng, k, dims, with_payload):
@@ -104,6 +148,109 @@ def test_kernel_matches_loop(tol):
         assert_same(midpoint_scan(gains, payload, tol), want)
         outcomes.add(want.satisfied)
     assert outcomes == {True, False}
+
+
+# Block and chunk sizes: the defaults, and one candidate per block with the
+# chunk floor off, so that small sets also span many blocks and chunks.
+SIZES = {"default": {}, "narrow": {"_BLOCK_CELLS": 1, "_CHUNK_FLOATS": 0}}
+
+
+@pytest.fixture(params=sorted(SIZES))
+def sizes(request, monkeypatch):
+    for name, value in SIZES[request.param].items():
+        monkeypatch.setattr(scan, name, value)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 0.5])
+def test_kernel_matches_row_scan(tol, sizes):
+    for pieces, tables, payload in CORPUS:
+        gains = [T @ P.T for P, T in zip(pieces, tables)]
+        assert_identical(midpoint_scan(gains, payload, tol), row_scan(gains, payload, tol))
+
+
+def line(t):
+    """Gains of S = |.| on the 1-d points t."""
+    t = np.asarray(t, dtype=float)
+    return np.stack([t, -t], axis=1)
+
+
+def gap_case(k):
+    """1-d points under S = |.|: the evens 0..2m and one point 20 past them,
+    so the only pairs 10 from every point are those of 2m with 2m + 20.
+    Both sit at the front (indices 0, 1) and again at the back (k - 2,
+    k - 1), so the worst value ties between the first and the last pairs
+    in row-major order."""
+    m = k - 4
+    return [line([2 * m, 2 * m + 20, *range(0, 2 * m, 2), 2 * m, 2 * m + 20])], None
+
+
+def large_cases():
+    rng = np.random.default_rng(20250419)
+    dup = integer_case(rng, 240, [2, 1], True)           # many duplicate points
+    far = satisfied_case(rng, 220, [3, 2], True)
+    mixed = float_case(rng, 150, [2], True)
+    return {
+        # g[c] = -c: the first witness of (i, j) is ceil((i + j)/2), so every
+        # column is some pair's first witness, block boundaries included.
+        "staircase-200": ([-np.arange(200.0)[:, None]], None),
+        # Pairs with i + j even are witnessed at (i + j)/2, the others miss
+        # by 1/2 unless tol >= 1/2: satisfied and violated pairs side by side.
+        "line-180": ([line(np.arange(180))], None),
+        "line-payload-170": ([line(np.arange(170))], np.tile([0.0, 0.25], 85)),
+        "gap-200": gap_case(200),
+        "duplicates-240": ([T @ P.T for P, T in zip(*dup[:2])], dup[2]),
+        "far-point-220": ([T @ P.T for P, T in zip(*far[:2])], far[2]),
+        "float-150": ([T @ P.T for P, T in zip(*mixed[:2])], mixed[2]),
+    }
+
+
+LARGE = large_cases()
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_sets_match_row_scan(name, sizes):
+    gains, payload = LARGE[name]
+    for tol in (1e-9, 0.0, 0.5):
+        want = row_scan(gains, payload, tol)
+        assert_identical(midpoint_scan(gains, payload, tol), want)
+    if name.startswith("staircase"):
+        assert set(want.witnesses.values()) == set(range(gains[0].shape[0]))
+
+
+def test_worst_tie_across_chunks_keeps_row_major_first(monkeypatch, sizes):
+    gains, _ = gap_case(200)
+    chunks = []
+    scan_pairs = scan._scan_pairs
+
+    def record(gains, payload, I, J, tol):
+        chunks.append(set(zip(I.tolist(), J.tolist())))
+        return scan_pairs(gains, payload, I, J, tol)
+
+    monkeypatch.setattr(scan, "_scan_pairs", record)
+    rep = midpoint_scan(gains, None, 1e-9)
+    assert rep.violation == ((0, 1), 10.0)
+    where = [next(n for n, pairs in enumerate(chunks) if pair in pairs)
+             for pair in ((0, 1), (198, 199))]
+    assert where[0] < where[1]
+    assert_identical(rep, row_scan(gains, None, 1e-9))
+
+
+@pytest.mark.parametrize("k, p", [(400, 1), (8, 20_000)])
+def test_scan_temporaries_stay_within_a_few_scan_rows(k, p):
+    # The row kernel's largest temporaries were k x max(k, p) floats.  Beyond
+    # the report it returns (80,200 witnesses for k = 400), the scan may hold
+    # at most four such rows at its peak.  Holding every pair's mid-row would
+    # take 4.5 rows for k = 8, and every pair's candidate values 200 for
+    # k = 400.
+    gains = [np.random.default_rng(k).uniform(-1, 1, (k, p))]
+    tracemalloc.start()
+    try:
+        rep = midpoint_scan(gains, None, 1e-9)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.satisfied == (p == 1)
+    assert peak - kept <= 4 * 8 * k * max(k, p)
 
 
 def test_wrappers_match_loop():
