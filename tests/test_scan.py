@@ -176,7 +176,8 @@ def line(t):
 
 def gap_case(k):
     """1-d points under S = |.|: the evens 0..2m and one point 20 past them,
-    so the only pairs 10 from every point are those of 2m with 2m + 20.
+    so the only pairs whose midpoint lies 10 from every point are those of
+    2m with 2m + 20.
     Both sit at the front (indices 0, 1) and again at the back (k - 2,
     k - 1), so the worst value ties between the first and the last pairs
     in row-major order."""
@@ -229,6 +230,8 @@ def test_worst_tie_across_chunks_keeps_row_major_first(monkeypatch, sizes):
     monkeypatch.setattr(scan, "_scan_pairs", record)
     rep = midpoint_scan(gains, None, 1e-9)
     assert rep.violation == ((0, 1), 10.0)
+    G = gains[0]
+    assert np.max(G - 0.5 * (G[198] + G[199]), axis=1).min() == 10.0
     where = [next(n for n, pairs in enumerate(chunks) if pair in pairs)
              for pair in ((0, 1), (198, 199))]
     assert where[0] < where[1]
