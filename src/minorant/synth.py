@@ -8,6 +8,11 @@ minorants tight over a finite set or polytope (score identically zero), and
 the convex-affine Lagrange form with a composition map j and a scalar
 payload k, affine or max-affine.
 
+There is one synthesis path per kind of set.  Every finite form goes through
+`_synth_finite`.  Every polytope form goes through `_synth_polytope`: a tight
+minorant is the Lagrange form with j the identity and k = 0, and a scored
+polytope the one with j the identity and k its affine score map.
+
 The mechanism: the linear maps (x, alpha) -> <Lam, x> - lam * alpha that are
 dominated by the epigraph gauge of the shifted f are exactly the projections
 of {mu >= 0 : sum_i mu_i * (-bshift_i) <= 1} under Lam = sum_i mu_i a_i,
@@ -27,16 +32,15 @@ from .core import (
     AffineMap,
     AffineTransform,
     DEFAULT_TOL,
+    DimensionMismatch,
     InvalidInput,
     LinearMap,
     MaxAffineFn,
     Polytope,
-    ShiftedFn,
     ToleranceConfig,
     as_vector,
     subgradient_max_affine,
 )
-from .gauge import shift
 from .lp import LpError, solve_lp
 from .scan import MidpointReport, midpoint_scan
 
@@ -49,9 +53,6 @@ __all__ = [
     "SynthCertificate",
     "DegenerateLambda",
     "ConditionViolated",
-    "build_gauge_support_lp",
-    "SupportSystem",
-    "min_over_scored_set",
     "check_scored_midpoint",
     "synth_affine_from_scored_set",
     "support_at_point",
@@ -119,9 +120,6 @@ class LiftedPolytope:
     def dim(self) -> int:
         return self.polytope.dim
 
-    def vertex_scores(self) -> np.ndarray:
-        return self.polytope.vertices @ self.score_lin + self.score_off
-
 
 ScoredSet = Union[FiniteScoredSet, LiftedPolytope]
 
@@ -171,25 +169,6 @@ class SynthCertificate:
         )
 
 
-@dataclass(frozen=True)
-class SupportSystem:
-    """Feasible region {mu >= 0 : <neg_shifted_offsets, mu> <= 1} whose
-    projections Lam = slopes.T @ mu, lam = sum(mu) are the lifted linear maps
-    dominated by the epigraph gauge."""
-
-    slopes: np.ndarray             # (p, d)
-    neg_shifted_offsets: np.ndarray  # (p,), each >= 1
-
-    def project(self, mu: np.ndarray) -> LiftedLinear:
-        mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-        return LiftedLinear(LinearMap(self.slopes.T @ mu), float(np.sum(mu)))
-
-
-def build_gauge_support_lp(Fsh: ShiftedFn) -> SupportSystem:
-    """Constraint system parameterizing the gauge's dominated lifted maps."""
-    return SupportSystem(Fsh.slopes.copy(), -Fsh.offsets.copy())
-
-
 def _auto_report() -> MidpointReport:
     # Convex sets satisfy the hypothesis with the literal midpoint; there is
     # nothing finite to enumerate.
@@ -208,6 +187,8 @@ def check_scored_midpoint(
     equality already holds at ray parameter 0, so only the asymptotic slope
     can break it.
     """
+    if B.dim != F.dim:
+        raise DimensionMismatch(f"the scored set is {B.dim}-d but f is {F.dim}-d")
     return midpoint_scan([B.points @ F.slopes.T], B.scores, tol)
 
 
@@ -244,22 +225,6 @@ def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.n
     return x_star, float(F(x_star))
 
 
-def min_over_scored_set(F: MaxAffineFn, B: ScoredSet) -> Tuple[float, np.ndarray]:
-    """Scored infimum of f over B with a minimizing witness.  It is always
-    finite: B is a finite set or a bounded polytope."""
-    if isinstance(B, FiniteScoredSet):
-        vals = F.batch(B.points) + B.scores
-        i = int(np.argmin(vals))
-        delta = float(vals[i])
-        witness = B.points[i]
-    else:
-        composed = MaxAffineFn(F.slopes + B.score_lin, F.offsets + B.score_off)
-        x_star, _ = min_convex_over_polytope(composed, B.polytope.vertices)
-        delta = float(composed(x_star))
-        witness = x_star
-    return delta, witness
-
-
 def _domination_report(F: MaxAffineFn, A: AffineMap, theta: np.ndarray) -> DominationReport:
     """Residuals of A <= f from the convex combination theta of f's pieces."""
     return DominationReport(float(F.offsets @ theta - A.c),
@@ -276,6 +241,7 @@ def _synth_pipeline(
     spread: Optional[np.ndarray] = None,
 ) -> SynthCertificate:
     """Shared LP core: maximize the lifted level over the gauge support set
+    {mu >= 0 : sum_i mu_i * (-bshift_i) <= 1}, bshift = b - f(0) - 1,
     subject to one row per constraint point.
 
     A payload k = max_l k_l of q > 1 pieces over a polytope comes in as the
@@ -287,7 +253,6 @@ def _synth_pipeline(
     and the row sum_{l>=2} pi_l <= lam; one piece adds nothing.
     """
     f0 = F.value_at_origin()
-    system = build_gauge_support_lp(shift(F))
     p = F.npieces
     r = 0 if spread is None else spread.shape[1]
     eta = delta - scores - f0 - 1.0
@@ -302,7 +267,7 @@ def _synth_pipeline(
     n_rows = n + 1 + (r > 0)
     A_ub = np.zeros((n_rows, nv))
     b_ub = np.zeros(n_rows)
-    A_ub[0, :p] = system.neg_shifted_offsets
+    A_ub[0, :p] = -(F.offsets - f0 - 1.0)
     b_ub[0] = 1.0
     A_ub[1:n + 1, :p] = -coeff
     A_ub[1:n + 1, p + r] = 1.0
@@ -317,7 +282,7 @@ def _synth_pipeline(
         raise LpError(f"synthesis LP status {sol.status}")
     mu = sol.x[:p].copy()
     mu[mu < 0.0] = 0.0
-    lifted = system.project(mu)
+    lifted = LiftedLinear(LinearMap(F.slopes.T @ mu), float(np.sum(mu)))
     lam = lifted.lam
     if lam <= tol.lambda_min:
         raise DegenerateLambda(f"vertical multiplier {lam} <= {tol.lambda_min}")
@@ -351,34 +316,31 @@ def synth_affine_from_scored_set(
     infima agree within tolerance.
     """
     if isinstance(B, FiniteScoredSet):
-        condition = check_scored_midpoint(F, B, tol.tol_mid)
-    else:
-        condition = _auto_report()
-    return _synth_scored(F, B, condition, tol)
+        return _synth_finite(F, B, check_scored_midpoint(F, B, tol.tol_mid), tol)
+    return _synth_polytope(F, B.polytope, AffineTransform.identity(B.dim),
+                           AffineMap(B.score_lin, B.score_off), tol)
 
 
-def _synth_scored(
+def _synth_finite(
     F: MaxAffineFn,
-    B: ScoredSet,
+    B: FiniteScoredSet,
     condition: MidpointReport,
     tol: ToleranceConfig,
 ) -> SynthCertificate:
-    """synth_affine_from_scored_set with the midpoint report already made."""
-    delta, _ = min_over_scored_set(F, B)
-    if isinstance(B, FiniteScoredSet):
-        pts, sc = B.points, B.scores
-    else:
-        pts, sc = B.polytope.vertices, B.vertex_scores()
-    return _synth_pipeline(F, pts, sc, delta, condition, tol)
+    """The synthesis LP over a finite scored set whose midpoint report is
+    already made; delta is the least scored value of f over B."""
+    delta = float(np.min(F.batch(B.points) + B.scores))
+    return _synth_pipeline(F, B.points, B.scores, delta, condition, tol)
 
 
-def _synth_finite(F: MaxAffineFn, B: FiniteScoredSet, tol: ToleranceConfig) -> SynthCertificate:
+def _synth_finite_strict(F: MaxAffineFn, B: FiniteScoredSet,
+                         tol: ToleranceConfig) -> SynthCertificate:
     """Scan a finite scored set once; raise if the condition fails, else
     synthesize with that report."""
     condition = check_scored_midpoint(F, B, tol.tol_mid)
     if not condition.satisfied:
         raise ConditionViolated(condition)
-    return _synth_scored(F, B, condition, tol)
+    return _synth_finite(F, B, condition, tol)
 
 
 def support_at_point(F: MaxAffineFn, x) -> AffineMap:
@@ -399,9 +361,10 @@ def synth_tight_minorant(
     polytopes satisfy it automatically via literal midpoints.
     """
     if isinstance(Z, Polytope):
-        return synth_affine_from_scored_set(F, LiftedPolytope(Z, np.zeros(Z.dim), 0.0), tol)
+        return _synth_polytope(F, Z, AffineTransform.identity(Z.dim),
+                               AffineMap(np.zeros(Z.dim), 0.0), tol)
     pts = np.vstack([as_vector(z, F.dim) for z in Z])
-    return _synth_finite(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
+    return _synth_finite_strict(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
 
 
 def _composed_polytope(
@@ -415,13 +378,15 @@ def _composed_polytope(
     if not isinstance(j, AffineTransform):
         raise InvalidInput("polytope form needs an affine composition map")
     if j.dim_in != Z.dim or j.dim_out != dim_out:
-        raise InvalidInput("composition map dimensions do not match")
+        raise DimensionMismatch(
+            f"the polytope is {Z.dim}-d and the function {dim_out}-d, but the "
+            f"composition map goes from {j.dim_in}-d to {j.dim_out}-d")
     if isinstance(k, AffineMap):
         k = MaxAffineFn(k.w.reshape(1, -1), [k.c])
     elif not isinstance(k, MaxAffineFn):
         raise InvalidInput("polytope form needs an affine or max-affine payload")
     if k.dim != Z.dim:
-        raise InvalidInput("payload dimension does not match the polytope")
+        raise DimensionMismatch(f"the payload is {k.dim}-d but the polytope {Z.dim}-d")
     return Z.vertices @ j.matrix.T + j.offset, k
 
 
@@ -435,6 +400,32 @@ def _compose(slopes: np.ndarray, offsets: np.ndarray, j: AffineTransform,
     )
 
 
+def _synth_polytope(
+    F: MaxAffineFn,
+    Z: Polytope,
+    j: AffineTransform,
+    k: Union[AffineMap, MaxAffineFn],
+    tol: ToleranceConfig,
+) -> SynthCertificate:
+    """The synthesis LP of every polytope form: one row per vertex of Z and
+    one weight per further payload piece, exact by the minimax theorem (see
+    `_synth_pipeline`).  A tight minorant is the case j = identity, k = 0,
+    a scored polytope the case j = identity, k = its score map."""
+    pts, K = _composed_polytope(Z, j, k, F.dim)
+    V = Z.vertices
+    # Piece by piece, so an affine k gives exactly k.batch(V).
+    KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
+    _, delta = min_convex_over_polytope(_compose(F.slopes, F.offsets, j, K), V)
+    cert = _synth_pipeline(F, pts, KV[:, 0], delta, _auto_report(), tol,
+                           KV[:, 1:] - KV[:, :1])
+    if K.npieces == 1:
+        return cert
+    # With more than one piece, A o j + k may be least inside Z.
+    A = cert.affine
+    _, lhs = min_convex_over_polytope(_compose(A.w[None], np.array([A.c]), j, K), V)
+    return dataclasses.replace(cert, lhs=lhs, gap=lhs - delta)
+
+
 def synth_composed_minorant(
     F: MaxAffineFn,
     j: Union[np.ndarray, AffineTransform],
@@ -446,25 +437,11 @@ def synth_composed_minorant(
 
     Finite form: Z is the table length, j an (n, d) value table, k an (n,)
     value table; the midpoint-recession condition is checked on the scored
-    pairs.  Polytope form: j affine and k affine or max-affine; the LP has
-    one row per vertex and one weight per further payload piece, which is
-    exact by the minimax theorem (see `_synth_pipeline`).
+    pairs.  Polytope form: j affine and k affine or max-affine (see
+    `_synth_polytope`).
     """
     if isinstance(Z, Polytope):
-        pts, K = _composed_polytope(Z, j, k, F.dim)
-        V = Z.vertices
-        # Piece by piece, so an affine k gives exactly the old k.batch(V).
-        KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
-        _, delta = min_convex_over_polytope(_compose(F.slopes, F.offsets, j, K), V)
-        cert = _synth_pipeline(F, pts, KV[:, 0], delta, _auto_report(), tol,
-                               KV[:, 1:] - KV[:, :1])
-        if K.npieces == 1:
-            return cert
-        # With more than one piece, A o j + k may be least inside Z.
-        A = cert.affine
-        _, lhs = min_convex_over_polytope(_compose(A.w[None], np.array([A.c]), j, K), V)
-        return dataclasses.replace(cert, lhs=lhs, gap=lhs - delta)
-
+        return _synth_polytope(F, Z, j, k, tol)
     j_table = np.asarray(j, dtype=np.float64).reshape(-1, F.dim)
     k_table = np.asarray(k, dtype=np.float64).reshape(-1)
-    return _synth_finite(F, FiniteScoredSet(j_table, k_table), tol)
+    return _synth_finite_strict(F, FiniteScoredSet(j_table, k_table), tol)

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from minorant.core import DEFAULT_TOL, AffineMap, AffineTransform, MaxAffineFn, Polytope
+from minorant.core import (
+    DEFAULT_TOL,
+    AffineMap,
+    AffineTransform,
+    DimensionMismatch,
+    MaxAffineFn,
+    Polytope,
+)
 from minorant.gauge import eval_gauge, shift
 from minorant.harness import gen_line_constrained_set
 from minorant.synth import (
@@ -11,10 +18,8 @@ from minorant.synth import (
     _domination_report,
     FiniteScoredSet,
     LiftedPolytope,
-    build_gauge_support_lp,
     check_scored_midpoint,
     min_convex_over_polytope,
-    min_over_scored_set,
     support_at_point,
     synth_affine_from_scored_set,
     synth_composed_minorant,
@@ -22,15 +27,29 @@ from minorant.synth import (
 )
 
 
+def gauge_row(F):
+    """Coefficients -(b_i - f(0) - 1) of the synthesis LP's gauge row: the
+    weights mu >= 0 with gauge_row(F) @ mu <= 1 are the feasible ones."""
+    return -(F.offsets - F.value_at_origin() - 1.0)
+
+
+def lift(F, mu):
+    """The lifted map (Lam, lam) = (slopes^T mu, sum mu) of weights mu."""
+    mu = np.asarray(mu, dtype=np.float64)
+    return F.slopes.T @ mu, float(np.sum(mu))
+
+
 class TestSupportSystem:
+    """A feasible mu gives a lifted map (x, a) -> <Lam, x> - lam * a that
+    the epigraph gauge dominates."""
+
     def test_abs_system(self, abs_fn):
-        sys_ = build_gauge_support_lp(shift(abs_fn))
         # For |.| the region is mu >= 0, mu1 + mu2 <= 1, i.e. |Lam| <= lam <= 1.
-        assert sys_.neg_shifted_offsets == pytest.approx([1.0, 1.0])
-        lift = sys_.project([1.0, 0.0])
-        assert lift.Lam.w == pytest.approx([1.0]) and lift.lam == pytest.approx(1.0)
-        lift0 = sys_.project([0.0, 0.0])
-        assert lift0.lam == 0.0 and lift0.Lam.w == pytest.approx([0.0])
+        assert gauge_row(abs_fn) == pytest.approx([1.0, 1.0])
+        Lam, lam = lift(abs_fn, [1.0, 0.0])
+        assert Lam == pytest.approx([1.0]) and lam == pytest.approx(1.0)
+        Lam0, lam0 = lift(abs_fn, [0.0, 0.0])
+        assert lam0 == 0.0 and Lam0 == pytest.approx([0.0])
 
     def test_feasible_points_dominated_by_gauge(self):
         # Soundness of the parameterization: every feasible (Lam, lam)
@@ -38,18 +57,17 @@ class TestSupportSystem:
         rng = np.random.default_rng(31)
         for _ in range(10):
             F = MaxAffineFn(rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, 4))
-            sys_ = build_gauge_support_lp(shift(F))
             # Random feasible mu: scale a positive draw onto the constraint.
             mu = rng.uniform(0, 1, 4)
-            bound = float(sys_.neg_shifted_offsets @ mu)
+            bound = float(gauge_row(F) @ mu)
             if bound > 1.0:
                 mu = mu / bound * rng.uniform(0.2, 1.0)
-            lift = sys_.project(mu)
+            Lam, lam = lift(F, mu)
             for _ in range(1000):
                 x = rng.uniform(-6, 6, 2)
                 a = rng.uniform(-6, 6)
                 g = eval_gauge(F, x, a)
-                assert lift.Lam.w @ x - lift.lam * a <= g.value + 1e-9
+                assert Lam @ x - lam * a <= g.value + 1e-9
 
     def test_presampled_oracle_bound(self):
         # Independent pre-build check: max of Lam.x - lam*fshift(x) over a
@@ -57,35 +75,49 @@ class TestSupportSystem:
         rng = np.random.default_rng(33)
         F = MaxAffineFn(rng.uniform(-2, 2, (3, 1)), rng.uniform(-2, 2, 3))
         fsh = shift(F)
-        sys_ = build_gauge_support_lp(fsh)
         mu = np.array([0.4, 0.1, 0.2])
-        if float(sys_.neg_shifted_offsets @ mu) > 1.0:
-            mu /= float(sys_.neg_shifted_offsets @ mu)
-        lift = sys_.project(mu)
+        if float(gauge_row(F) @ mu) > 1.0:
+            mu /= float(gauge_row(F) @ mu)
+        Lam, lam = lift(F, mu)
         grid = np.linspace(-50, 50, 2001)
-        vals = [lift.Lam.w[0] * x - lift.lam * fsh([x]) for x in grid]
+        vals = [Lam[0] * x - lam * fsh([x]) for x in grid]
         assert max(vals) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_certificate_weights_are_feasible(self, case):
+        # The synthesis LP's own weights lie in the region, and the
+        # certificate's lifted map is their lift.
+        F, cert = list(_exact_cases())[case]
+        assert gauge_row(F) @ cert.weights <= 1.0 + 1e-12
+        Lam, lam = lift(F, cert.weights)
+        assert np.array_equal(cert.lifted.Lam.w, Lam) and cert.lifted.lam == lam
 
 
 class TestMinOverScoredSet:
+    """The certificate's delta is the scored infimum of f over B."""
+
     def test_finite(self, abs_fn):
-        d, _ = min_over_scored_set(abs_fn, FiniteScoredSet(np.array([[2.0]]), np.array([5.0])))
-        assert d == pytest.approx(7.0)
-        d0, _ = min_over_scored_set(abs_fn, FiniteScoredSet(np.array([[0.0]]), np.array([0.0])))
-        assert d0 == 0.0
+        cert = synth_affine_from_scored_set(
+            abs_fn, FiniteScoredSet(np.array([[2.0]]), np.array([5.0])))
+        assert cert.delta == pytest.approx(7.0)
+        cert0 = synth_affine_from_scored_set(
+            abs_fn, FiniteScoredSet(np.array([[0.0]]), np.array([0.0])))
+        assert cert0.delta == 0.0
 
     def test_polytope(self, abs_fn):
         B = LiftedPolytope(Polytope(np.array([[1.0], [3.0]])), np.array([0.0]), 0.0)
-        d, w = min_over_scored_set(abs_fn, B)
-        assert d == pytest.approx(1.0)
-        assert w == pytest.approx([1.0])
+        cert = synth_affine_from_scored_set(abs_fn, B)
+        assert cert.delta == pytest.approx(1.0)
+        # A is tight at the minimizer x = 1.
+        assert cert.affine([1.0]) == pytest.approx(abs_fn([1.0]))
 
     def test_large_negative_score_is_exact(self, abs_fn):
         # A finite scored infimum stays finite however low it is: the value
         # and the pipeline built on it are exact, with no fallback.
-        d, w = min_over_scored_set(
+        cert = synth_affine_from_scored_set(
             abs_fn, FiniteScoredSet(np.array([[1.0]]), np.array([-2e12])))
-        assert d == 1.0 - 2e12 and w == pytest.approx([1.0])
+        assert cert.delta == 1.0 - 2e12
+        assert cert.affine([1.0]) == pytest.approx(abs_fn([1.0]))
         cert = synth_affine_from_scored_set(
             abs_fn, FiniteScoredSet(np.array([[0.0]]), np.array([-2e12])))
         assert cert.delta == -2e12 and cert.lhs == -2e12 and cert.gap == 0.0
@@ -348,3 +380,31 @@ class TestSingleScan:
     def test_polytope_scans_nothing(self, abs_fn, scans):
         synth_tight_minorant(abs_fn, Polytope(np.array([[1.0], [3.0]])))
         assert scans == []
+
+
+class TestDimensionMismatch:
+    """A set whose dimension differs from f's is an input error that names
+    both dimensions, not a numpy shape error."""
+
+    F2 = MaxAffineFn(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 0.0]))
+    V3 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_tight_polytope(self):
+        with pytest.raises(DimensionMismatch, match="polytope is 3-d and the function 2-d"):
+            synth_tight_minorant(self.F2, Polytope(self.V3))
+
+    def test_lifted_polytope(self):
+        B = LiftedPolytope(Polytope(self.V3), np.zeros(3), 0.0)
+        with pytest.raises(DimensionMismatch, match="polytope is 3-d and the function 2-d"):
+            synth_affine_from_scored_set(self.F2, B)
+
+    def test_finite_scored_set(self):
+        B = FiniteScoredSet(self.V3, np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="scored set is 3-d but f is 2-d"):
+            synth_affine_from_scored_set(self.F2, B)
+
+    def test_composed_payload(self):
+        with pytest.raises(DimensionMismatch, match="payload is 2-d but the polytope 1-d"):
+            synth_composed_minorant(
+                self.F2, AffineTransform(np.ones((2, 1)), np.zeros(2)),
+                AffineMap(np.zeros(2), 0.0), Polytope(np.array([[0.0], [1.0]])))
