@@ -43,7 +43,7 @@ from .core import (
     ToleranceConfig,
 )
 from .gauge import BracketFailure, eval_gauge
-from .harness import SUITE_NAMES, ScanExhausted, SuiteConfig, gen_instance, run_property_suite
+from .harness import SUITE_NAMES, SuiteConfig, gen_instance, run_property_suite
 from .hbl import HblCertificate, HblInstance, solve_hbl_jk, solve_hbl_n
 from .lp import LpError
 from .mok import MidpointReport, MokCertificate, solve_mok
@@ -159,6 +159,9 @@ def _parse_sublinear(value, path: str) -> PolyhedralSublinear:
 def _parse_tolerances(value, path: str) -> ToleranceConfig:
     obj = _take(value, path, {k: False for k in _TOL_KEYS})
     kwargs = {k: _number(v, f"{path}.{k}") for k, v in obj.items()}
+    for k, v in kwargs.items():
+        if v < 0.0:
+            raise SchemaError(f"{path}.{k}: must be >= 0")
     return dataclasses.replace(DEFAULT_TOL, **kwargs)
 
 
@@ -568,26 +571,20 @@ def _instance_json(kind: str, inst) -> dict:
     raise SchemaError(f"unknown instance kind {kind!r}")
 
 
-def run_problem_text(text: str, seed_override: Optional[int] = None,
-                     tol_gap_override: Optional[float] = None) -> Tuple[str, int]:
+def run_problem_text(text: str, seed_override: Optional[int] = None) -> Tuple[str, int]:
     """Parse, solve, and serialize; returns (report text, exit code).
 
     Schema errors surface as SchemaError (no report).  Solver failures are
     folded into an error report with the numerical-failure exit code.
     """
-    return _run_parsed(parse_problem(text), text, seed_override, tol_gap_override)
+    return _run_parsed(parse_problem(text), text, seed_override)
 
 
-def _run_parsed(problem: ProblemFile, text: str, seed_override: Optional[int],
-                tol_gap_override: Optional[float]) -> Tuple[str, int]:
+def _run_parsed(problem: ProblemFile, text: str,
+                seed_override: Optional[int]) -> Tuple[str, int]:
     """Solve and serialize a problem already parsed from `text`."""
     if seed_override is not None:
         problem = dataclasses.replace(problem, seed=seed_override)
-    if tol_gap_override is not None:
-        problem = dataclasses.replace(
-            problem,
-            tolerances=dataclasses.replace(problem.tolerances, tol_gap=tol_gap_override),
-        )
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     status_by_code = {EXIT_OK: "ok", EXIT_HYPOTHESIS: "hypothesis-violated",
                       EXIT_NUMERICAL: "numerical-failure"}
@@ -599,7 +596,7 @@ def _run_parsed(problem: ProblemFile, text: str, seed_override: Optional[int],
     except ConditionViolated as e:
         cert = {"error": "condition-violated", "condition": _midpoint_json(e.report)}
         code = EXIT_HYPOTHESIS
-    except (DegenerateLambda, BracketFailure, LpError, ScanExhausted, FloatingPointError) as e:
+    except (DegenerateLambda, BracketFailure, LpError, FloatingPointError) as e:
         cert = {"error": type(e).__name__, "message": str(e)}
         code = EXIT_NUMERICAL
     except InvalidInput as e:
@@ -633,7 +630,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", default=None, help="problem file (default: stdin)")
         sp.add_argument("--output", default=None, help="report file (default: stdout)")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol-gap", type=float, default=None)
     return parser
 
 
@@ -661,7 +657,7 @@ def run_command(argv: List[str]) -> int:
                 f"$.kind: document says {problem.kind!r} but the "
                 f"{args.command!r} subcommand was invoked"
             )
-        report_text, code = _run_parsed(problem, text, args.seed, args.tol_gap)
+        report_text, code = _run_parsed(problem, text, args.seed)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 COEFF_RANGE = 2.0  # generated coefficients are uniform in [-2, 2]
+# The property suites cycle their instance sizes up to these bounds.
+MAX_DIM = 4
+MAX_PIECES = 6
+MAX_VERTICES = 4
 
 
 class ScanExhausted(RuntimeError):
@@ -246,9 +250,6 @@ def domination_oracle(F: MaxAffineFn, A: AffineMap) -> Tuple[float, np.ndarray]:
 class SuiteConfig:
     seed: int = 20240817
     trials: Dict[str, int] = field(default_factory=dict)
-    max_dim: int = 4
-    max_pieces: int = 6
-    max_vertices: int = 4
     tol: ToleranceConfig = DEFAULT_TOL
 
     def ntrials(self, suite: str, default: int) -> int:
@@ -320,7 +321,7 @@ def _suite_gauge_oracle(cfg: SuiteConfig, n: int) -> SuiteResult:
     checked = 0
     for t in range(n):
         F = gen_instance("max_affine",
-                         {"d": 1 + t % cfg.max_dim, "p": 2 + t % cfg.max_pieces},
+                         {"d": 1 + t % MAX_DIM, "p": 2 + t % MAX_PIECES},
                          cfg.seed + 1000 + t)
         rng = SplitMix64(cfg.seed ^ (7000 + t))
         for _ in range(4):
@@ -346,7 +347,7 @@ def _suite_gauge_sublinearity(cfg: SuiteConfig, n: int) -> SuiteResult:
     checked = 0
     for t in range(n):
         F = gen_instance("max_affine",
-                         {"d": 1 + t % cfg.max_dim, "p": 1 + t % cfg.max_pieces},
+                         {"d": 1 + t % MAX_DIM, "p": 1 + t % MAX_PIECES},
                          cfg.seed + 2000 + t)
         rng = SplitMix64(cfg.seed ^ (8000 + t))
         samples = [(rng.uniform_vector(F.dim, -5.0, 5.0), rng.uniform(-5.0, 5.0))
@@ -367,8 +368,8 @@ def _suite_mok(cfg: SuiteConfig, n: int) -> SuiteResult:
     checked = 0
     for t in range(n):
         S, D = gen_mok_satisfied(cfg.seed + 3000 + t,
-                                 d=1 + t % cfg.max_dim,
-                                 p=2 + t % cfg.max_pieces,
+                                 d=1 + t % MAX_DIM,
+                                 p=2 + t % MAX_PIECES,
                                  npts=2 + t % 5)
         cert = solve_mok(S, D, cfg.tol)
         checked += 1
@@ -377,8 +378,8 @@ def _suite_mok(cfg: SuiteConfig, n: int) -> SuiteResult:
             failed += 1
         # Random (usually violated) instance: weak duality only.
         rng = SplitMix64(cfg.seed ^ (9000 + t))
-        S2 = PolyhedralSublinear(rng.uniform_matrix(2 + t % cfg.max_pieces,
-                                                    1 + t % cfg.max_dim,
+        S2 = PolyhedralSublinear(rng.uniform_matrix(2 + t % MAX_PIECES,
+                                                    1 + t % MAX_DIM,
                                                     -COEFF_RANGE, COEFF_RANGE))
         D2 = [rng.uniform_vector(S2.dim, -COEFF_RANGE, COEFF_RANGE)
               for _ in range(2 + t % 4)]
@@ -398,16 +399,16 @@ def _suite_synth(cfg: SuiteConfig, n: int) -> SuiteResult:
     for t in range(n):
         if t % 2 == 0:
             F = gen_instance("max_affine",
-                             {"d": 1 + t % cfg.max_dim, "p": 2 + t % cfg.max_pieces},
+                             {"d": 1 + t % MAX_DIM, "p": 2 + t % MAX_PIECES},
                              cfg.seed + 4000 + t)
             C = gen_instance("polytope",
-                             {"d": F.dim, "v": 2 + t % cfg.max_vertices},
+                             {"d": F.dim, "v": 2 + t % MAX_VERTICES},
                              cfg.seed + 4500 + t)
             cert = synth_tight_minorant(F, C, cfg.tol)
         else:
             F, Z = gen_line_constrained_set(cfg.seed + 4000 + t,
-                                            d=2 + t % cfg.max_dim,
-                                            p=2 + t % cfg.max_pieces)
+                                            d=2 + t % MAX_DIM,
+                                            p=2 + t % MAX_PIECES)
             cert = synth_tight_minorant(F, Z, cfg.tol)
         deficit, _ = domination_oracle(F, cert.affine)
         checked += 1
@@ -450,7 +451,7 @@ def _suite_polytope_min(cfg: SuiteConfig, n: int) -> SuiteResult:
     worst = 0.0
     checked = 0
     for t in range(n):
-        F = gen_instance("max_affine", {"d": 1 + t % 2, "p": 2 + t % cfg.max_pieces},
+        F = gen_instance("max_affine", {"d": 1 + t % 2, "p": 2 + t % MAX_PIECES},
                          cfg.seed + 6000 + t)
         C = gen_instance("polytope", {"d": F.dim, "v": 2 + t % 2},
                          cfg.seed + 6500 + t)

@@ -311,13 +311,16 @@ class TestToleranceExitCodes:
         assert 0.0 < abs(gap) < 1e-15
         assert code == EXIT_OK and rep["status"] == "ok"
 
-    def test_tol_gap_flag_below_gap_exits_numerical(self, tmp_path, capsys):
-        code, rep = self._run(tmp_path, capsys, self.SUN_GAP_DOC, "synth-sun",
-                              "--tol-gap", "1e-16")
+    def test_tol_gap_below_gap_exits_numerical(self, tmp_path, capsys):
+        payload = json.loads(self.SUN_GAP_DOC)["payload"]
+        code, rep = self._run(tmp_path, capsys,
+                              doc("synth-sun", payload, tolerances={"tol_gap": 1e-16}),
+                              "synth-sun")
         assert code == EXIT_NUMERICAL and rep["status"] == "numerical-failure"
         assert abs(rep["certificate"]["gap"]) > 1e-16
-        code, _ = self._run(tmp_path, capsys, self.SUN_GAP_DOC, "synth-sun",
-                            "--tol-gap", "1e-15")
+        code, _ = self._run(tmp_path, capsys,
+                            doc("synth-sun", payload, tolerances={"tol_gap": 1e-15}),
+                            "synth-sun")
         assert code == EXIT_OK
 
     def test_document_tolerances_are_read(self, tmp_path, capsys):
@@ -329,8 +332,8 @@ class TestToleranceExitCodes:
             assert rep["status"] == "numerical-failure"
 
     def test_zero_gap_passes_any_tol_gap(self, tmp_path, capsys):
-        code, rep = self._run(tmp_path, capsys, SUN_DOC, "synth-sun",
-                              "--tol-gap", "1e-300")
+        text = doc("synth-sun", json.loads(SUN_DOC)["payload"], tolerances={"tol_gap": 1e-300})
+        code, rep = self._run(tmp_path, capsys, text, "synth-sun")
         assert rep["certificate"]["gap"] == 0.0
         assert code == EXIT_OK
 
@@ -398,6 +401,8 @@ SCHEMA_CASES = [
      "$.tolerances.tol_gap: expected a number"),
     ("tolerance-bool", _malformed("gen", {}, tolerances={"tol_lp": True}),
      "$.tolerances.tol_lp: expected a number"),
+    ("tolerance-negative", _malformed("gen", {}, tolerances={"tol_mid": -1}),
+     "$.tolerances.tol_mid: must be >= 0"),
     ("tolerance-finite", GAUGE_DOC.replace("}}", '}, "tolerances": {"tol_gauge": NaN}}'),
      "$.tolerances.tol_gauge: number must be finite"),
     ("number-overflow", GAUGE_DOC.replace('"alpha": 1.0', '"alpha": 1' + "0" * 400),
@@ -745,7 +750,7 @@ def _golden_documents():
         "tolerances": ("synth-sun", {"f": fn(5, 3), "z": {"vertices": r(6, 3).tolist()}},
                        {"tolerances": {"tol_gap": 1e-300, "tol_mid": 1e-6}}, []),
         "tol-gap-flag": ("solve-mok", {"s": {"pieces": tilted(3, 2, u2)}, "d": line(6, 2, u2)},
-                         {}, ["--tol-gap", "1e-30"]),
+                         {}, []),
     }
     return {name: (kind, doc(kind, payload, **extra), flags)
             for name, (kind, payload, extra, flags) in docs.items()}
@@ -923,17 +928,18 @@ class TestParserOnce:
         seen = []
         real = cli._run_parsed
 
-        def spy(problem, text, seed, tol_gap):
-            seen.append((seed, tol_gap))
-            return real(problem, text, seed, tol_gap)
+        def spy(problem, text, seed):
+            seen.append(seed)
+            return real(problem, text, seed)
 
         monkeypatch.setattr(cli, "_run_parsed", spy)
-        assert self._run(tmp_path, SUN_DOC, "synth-sun", "--seed", "5",
-                         "--tol-gap", "1e-300") == EXIT_OK
+        assert self._run(tmp_path, SUN_DOC, "synth-sun", "--seed", "5") == EXIT_OK
         assert self._run(tmp_path, SUN_DOC, "synth-sun") == EXIT_OK
-        assert seen == [(5, 1e-300), (None, None)]
-        # The flag of the deleted grid path is an unknown argument.
-        assert self._run(tmp_path, SUN_DOC, "synth-sun", "--approximate-ok") == EXIT_SCHEMA
+        assert seen == [5, None]
+        # The flags of the deleted grid path and tolerance override are
+        # unknown arguments.
+        for flag in (["--approximate-ok"], ["--tol-gap", "1e-300"]):
+            assert self._run(tmp_path, SUN_DOC, "synth-sun", *flag) == EXIT_SCHEMA
         assert len(seen) == 2
 
     def test_errors_do_not_carry_over(self, tmp_path, capsys):
