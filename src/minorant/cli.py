@@ -10,8 +10,9 @@ Exit codes are part of the contract:
       anomaly, overflow, failed verify)
 * 3 — parse or schema error, including a document over a work cap
 
-Every polytope form is exact: its LP has one row per vertex, and a
-max-affine payload adds one weight per piece (minimax theorem).
+Every polytope form is exact: one LP minimizes f o j + k over the polytope
+on the composed pieces, and its row duals are the certificate's weights
+(LP duality).
 
 A report is always written once parsing succeeded.  It is strict JSON:
 each float is written as its shortest repr, which parses back to the same
@@ -43,7 +44,6 @@ from .core import (
     ToleranceConfig,
 )
 from .gauge import BracketFailure, eval_gauge
-from .harness import SUITE_NAMES, SuiteConfig, gen_instance, run_property_suite
 from .hbl import HblCertificate, HblInstance, solve_hbl_jk, solve_hbl_n
 from .lp import LpError
 from .mok import MidpointReport, MokCertificate, solve_mok
@@ -200,13 +200,12 @@ def _check_work(path: str, keys: int, pieces: int, *lps: Tuple[int, int, int]) -
                           f"exceeds the cap {MAX_TABLEAU_CELLS}")
 
 
-def _synth_lps(F: MaxAffineFn, nvertices: int, q: int = 1) -> tuple:
-    """The synthesis LP over a polytope's vertices, with q - 1 payload
-    weights and their row when the payload has q > 1 pieces, and the LP
-    minimizing f o j + k over the polytope on its p*q pieces.  The LP for
-    the minimum of A o j + k has q pieces, so it is never the larger."""
-    return ((nvertices + 1 + (q > 1), 0, F.npieces + q + 1),
-            (F.npieces * q, 1, nvertices + 2))
+def _polytope_lp(pieces: int, nvertices: int, q: int = 1) -> Tuple[int, int, int]:
+    """The one LP of a polytope form: the minimum of f o j + k over the
+    polytope on the p*q composed pieces, whose row duals are the weights.
+    The LP for the minimum of A o j + k has q pieces, so it is never the
+    larger."""
+    return (pieces * q, 1, nvertices + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ def _build_synth_affine(payload: dict, path: str) -> tuple:
     V = _matrix(bb["vertices"], f"{path}.b.vertices", F.dim)
     lin = _num_list(bb["score_lin"], f"{path}.b.score_lin", F.dim)
     off = _number(bb["score_off"], f"{path}.b.score_off")
-    _check_work(f"{path}.b.vertices", 0, 0, *_synth_lps(F, len(V)))
+    _check_work(f"{path}.b.vertices", 0, 0, _polytope_lp(F.npieces, len(V)))
     return F, LiftedPolytope(Polytope(np.asarray(V)), np.asarray(lin), off)
 
 
@@ -258,7 +257,7 @@ def _build_synth_sun(payload: dict, path: str) -> tuple:
         return F, np.asarray(pts)
     zz = _take(z, f"{path}.z", {"vertices": True})
     V = _matrix(zz["vertices"], f"{path}.z.vertices", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, *_synth_lps(F, len(V)))
+    _check_work(f"{path}.z.vertices", 0, 0, _polytope_lp(F.npieces, len(V)))
     return F, Polytope(np.asarray(V))
 
 
@@ -274,7 +273,7 @@ def _build_synth_cahbl(payload: dict, path: str) -> tuple:
         return F, np.asarray(jt), np.asarray(kt), None
     zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
     Z, j, k, q = _parse_composed(zz, f"{path}.z", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, *_synth_lps(F, Z.nvertices, q))
+    _check_work(f"{path}.z.vertices", 0, 0, _polytope_lp(F.npieces, Z.nvertices, q))
     return F, j, k, Z
 
 
@@ -310,9 +309,7 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
         obj = _take(payload, path, {"s": True, "vertices": True, "j": True, "k": True})
         S = _parse_sublinear(obj["s"], f"{path}.s")
         Z, j, k, q = _parse_composed(obj, path, S.dim)
-        # The product LP over the vertices, and the LP for inf_Z [S o j + k].
-        _check_work(f"{path}.vertices", 0, 0, (Z.nvertices, 2, S.npieces + q + 2),
-                    (S.npieces * q, 1, Z.nvertices + 2))
+        _check_work(f"{path}.vertices", 0, 0, _polytope_lp(S.npieces, Z.nvertices, q))
         return S, j, k, Z
     obj = _take(payload, path, {"s": True, "j": True, "k": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")
@@ -350,6 +347,10 @@ def _parse_payload_k(value, path: str, dz: int):
 
 
 def _build_verify(payload: dict, path: str) -> tuple:
+    # The harness is imported only by `verify` and `gen`, so that no other
+    # kind pays for its import.
+    from .harness import SUITE_NAMES
+
     obj = _take(payload, path, {"suites": False, "trials": False})
     if "suites" in obj:
         suites = obj["suites"]
@@ -543,11 +544,15 @@ def _solve(problem: ProblemFile) -> Tuple[dict, int]:
         return body, EXIT_OK if cert.within(tol) else EXIT_NUMERICAL
 
     if kind == "verify":
+        from .harness import SuiteConfig, run_property_suite
+
         suites, trials = args
         cfg = SuiteConfig(seed=problem.seed if problem.seed is not None else 20240817,
                           trials=trials, tol=tol)
         rep = run_property_suite(cfg, suites)
         return rep.to_json(), EXIT_OK if rep.all_passed else EXIT_NUMERICAL
+
+    from .harness import gen_instance
 
     instance, dims = args  # gen
     seed = problem.seed if problem.seed is not None else 0

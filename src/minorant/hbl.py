@@ -12,14 +12,13 @@ The scalar-payload form (one sublinear S plus a payload k) is the two-space
 case.  Over a finite key set the second space is the reals with the
 identity functional; its support set is the single weight 1, so the
 identity comes out structurally, with no tolerance.  Over a polytope the
-second space carries the homogenized payload pieces and the keys are the
-vertices, which is exact by the minimax theorem.  One space with no
-payload is `minorant.mok.solve_mok`.
+second space carries the homogenized payload pieces, and the weights of
+both spaces are the row duals of the one LP that minimizes S o j + k over
+the polytope.  One space with no payload is `minorant.mok.solve_mok`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -39,7 +38,7 @@ from .core import (
 )
 from .lp import LpError, solve_lp
 from .scan import MidpointReport, midpoint_scan
-from .synth import _auto_report, _compose, _composed_polytope, min_convex_over_polytope
+from .synth import _auto_report, _compose, _composed_polytope, _min_lp
 
 __all__ = [
     "HblInstance",
@@ -196,23 +195,26 @@ def solve_hbl_jk(
     Finite form: j is an (nz, d) table and k an (nz,) table.  Polytope form:
     j affine and k = max_l(<c_l, z> + d_l) affine or max-affine.  The second
     space then has the pieces [c_l, d_l] over the vertex table [v, 1]; for
-    fixed weights the bracket is affine in z, so by the minimax theorem the
-    vertex rows give the exact value.
+    fixed weights the bracket is affine in z, so its least value over Z is
+    at a vertex, and by LP duality the weights read from the minimum LP
+    reach the target there.
     """
     if isinstance(Z, Polytope):
         jV, K = _composed_polytope(Z, j, k, S.dim)
         V = Z.vertices
-        inst = HblInstance(
-            sublinears=[S, PolyhedralSublinear(np.column_stack([K.slopes, K.offsets]))],
-            tables=[jV, np.column_stack([V, np.ones(len(V))])],
-        )
+        # One LP: the minimum of S o j + k over Z on the p*q composed pieces,
+        # which may lie inside Z.  Its row duals rho_il give the weights
+        # theta_i = sum_l rho_il of S and pi_l = sum_i rho_il of the payload.
+        _, target, rho = _min_lp(_compose(S.pieces, np.zeros(S.npieces), j, K), V)
+        rho = rho.reshape(S.npieces, K.npieces)
+        weights = [rho.sum(axis=1), rho.sum(axis=0)]
+        maps = [LinearMap(S.pieces.T @ weights[0]),
+                LinearMap(np.column_stack([K.slopes, K.offsets]).T @ weights[1])]
+        value = float(np.min(jV @ maps[0].w + np.column_stack([V, np.ones(len(V))]) @ maps[1].w))
         # The polytope itself satisfies the condition through literal
         # midpoints; its vertices as a finite set need not.
-        cert = _solve_product(inst, tol, _auto_report())
-        # S o j + k may be least inside Z, not at a vertex.
-        _, target = min_convex_over_polytope(
-            _compose(S.pieces, np.zeros(S.npieces), j, K), V)
-        return dataclasses.replace(cert, target=target, gap=target - cert.value)
+        return HblCertificate(maps=maps, weights=weights, value=value, target=target,
+                              gap=target - value, midpoint=_auto_report())
 
     # Second space: the reals with the identity functional.  Its only piece
     # is the weight 1, so the LP returns the identity exactly.

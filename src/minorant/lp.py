@@ -8,8 +8,8 @@ lowest-index basic variable leaves on ratio ties.  After
 `_DEGENERATE_LIMIT` consecutive degenerate pivots the phase switches to
 Bland's rule (lowest eligible index enters) for good, so it cannot cycle.
 
-Problem sizes here are modest: tens of variables, and one row per vertex on
-the polytope forms (up to a few hundred rows on the benchmark), so a dense
+Problem sizes here are modest: tens of rows, and one column per vertex on
+the polytope forms (up to a few hundred on the benchmark), so a dense
 tableau is the right tool.
 
 Tableau layout: the variables, one slack per inequality row, one artificial
@@ -17,12 +17,19 @@ per row that needs one (an equality row or a row with a negative right-hand
 side, in row order), then the right-hand side.
 
 Convention: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+
+Row duals come from the final phase-2 reduced costs, with no extra solve.
+The dual of inequality row i is the reduced cost of its slack column; the
+slack column of a negated row carries the sign, so the dual is that of the
+row as given.  The dual of an equality row is the reduced cost of its
+artificial column times the row's sign.  At an optimum the duals y solve
+min b.y over y_ub >= 0, A^T y >= c, and b.y = c.x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +51,7 @@ class LpSolution:
     status: str                  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]      # primal point when optimal
     value: Optional[float]       # objective value when optimal
+    duals: Optional[np.ndarray] = None  # row duals when optimal: b_ub rows, then b_eq rows
 
     @property
     def is_optimal(self) -> bool:
@@ -62,13 +70,14 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                  allowed: np.ndarray) -> str:
+                  allowed: np.ndarray) -> Tuple[str, np.ndarray]:
     """Run the simplex on tableau T (rows = constraints, last column = rhs)
     maximizing `cost` over columns flagged in `allowed`: Dantzig pricing,
     then Bland's rule once `_DEGENERATE_LIMIT` pivots in a row are
     degenerate (leaving ratio within `_PIVOT_TOL` of zero).
 
-    Returns "optimal" or "unbounded".  T and basis are updated in place.
+    Returns "optimal" or "unbounded", and the reduced costs of the last
+    pricing step.  T and basis are updated in place.
     """
     n = T.shape[1] - 1
     degenerate = 0                         # consecutive degenerate pivots
@@ -78,7 +87,7 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         reduced = y @ T[:, :n] - cost[:n]
         eligible = np.flatnonzero(allowed & (reduced < -_PIVOT_TOL))
         if eligible.size == 0:
-            return "optimal"
+            return "optimal", reduced
         if degenerate < _DEGENERATE_LIMIT:
             # Dantzig: most negative reduced cost, lowest index on ties.
             enter = int(eligible[np.argmin(reduced[eligible])])
@@ -98,7 +107,7 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                 best_ratio = ratio
                 leave = r
         if leave < 0:
-            return "unbounded"
+            return "unbounded", reduced
         if degenerate < _DEGENERATE_LIMIT:  # once reached, Bland holds
             degenerate = degenerate + 1 if best_ratio <= _PIVOT_TOL else 0
         _pivot(T, basis, leave, enter)
@@ -143,7 +152,7 @@ def solve_lp(
         # Unconstrained over the nonnegative orthant.
         if np.any(c > 0):
             return LpSolution("unbounded", None, None)
-        return LpSolution("optimal", np.zeros(n), 0.0)
+        return LpSolution("optimal", np.zeros(n), 0.0, np.zeros(0))
 
     # A row with a negative rhs is negated; it and every equality row start
     # on an artificial, every other row on its slack.
@@ -168,7 +177,7 @@ def solve_lp(
         cost1 = np.zeros(ncols + 1)
         cost1[art_cols] = -1.0
         allowed = np.ones(ncols, dtype=bool)
-        status = _simplex_core(T, basis, cost1, allowed)
+        status, _ = _simplex_core(T, basis, cost1, allowed)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")
         obj1 = float(cost1[basis] @ T[:, -1])
@@ -179,10 +188,13 @@ def solve_lp(
     cost2 = np.zeros(ncols + 1)
     cost2[:n] = c
     allowed = ~art_mask
-    status = _simplex_core(T, basis, cost2, allowed)
+    status, reduced = _simplex_core(T, basis, cost2, allowed)
     if status == "unbounded":
         return LpSolution("unbounded", None, None)
     x = np.zeros(ncols)
     x[basis] = T[:, -1]
     xr = x[:n].copy()
-    return LpSolution("optimal", xr, float(c @ xr))
+    # The equality rows are the last rows with an artificial column.
+    eq_cols = art_cols[art_rows.size - (m - n_slack):]
+    duals = np.concatenate([reduced[n + slack_rows], reduced[eq_cols] * sign[n_slack:]])
+    return LpSolution("optimal", xr, float(c @ xr), duals)

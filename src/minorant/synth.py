@@ -16,8 +16,10 @@ polytope the one with j the identity and k its affine score map.
 The mechanism: the linear maps (x, alpha) -> <Lam, x> - lam * alpha that are
 dominated by the epigraph gauge of the shifted f are exactly the projections
 of {mu >= 0 : sum_i mu_i * (-bshift_i) <= 1} under Lam = sum_i mu_i a_i,
-lam = sum_i mu_i.  Maximizing the lifted level over the induced point set
-yields lam > 0 and A = Lam/lam - 1/lam + f(0) + 1.
+lam = sum_i mu_i.  Over a finite set, maximizing the lifted level over the
+induced point set yields lam > 0 and A = Lam/lam - 1/lam + f(0) + 1.  Over a
+polytope, the weights are the row duals of the LP that computes the scored
+infimum, so that one LP gives both delta and A.
 """
 
 from __future__ import annotations
@@ -192,8 +194,14 @@ def check_scored_midpoint(
     return midpoint_scan([B.points @ F.slopes.T], B.scores, tol)
 
 
-def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Exact LP minimum of a max-affine function over conv(vertices)."""
+def _min_lp(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Exact LP minimum of a max-affine function over conv(vertices): the
+    minimizer, f's value there and the row duals rho of f's pieces.
+
+    The LP is min t over nu on the simplex with t >= <a_i, V^T nu> + b_i for
+    every piece.  By LP duality rho >= 0 sums to 1 and
+    min_v sum_i rho_i (<a_i, v> + b_i) is the same minimum, so rho are the
+    weights of an affine minorant of f that is tight over the polytope."""
     V = np.asarray(vertices, dtype=np.float64)
     if V.ndim == 1:
         V = V.reshape(1, -1)
@@ -222,7 +230,16 @@ def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.n
         raise LpError(f"polytope minimization LP status {sol.status}")
     nu = sol.x[:k]
     x_star = V.T @ nu
-    return x_star, float(F(x_star))
+    rho = sol.duals[:p].copy()
+    rho[rho < 0.0] = 0.0
+    return x_star, float(F(x_star)), rho
+
+
+def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Exact LP minimum of a max-affine function over conv(vertices): the
+    minimizer and f's value there."""
+    x_star, value, _ = _min_lp(F, vertices)
+    return x_star, value
 
 
 def _domination_report(F: MaxAffineFn, A: AffineMap, theta: np.ndarray) -> DominationReport:
@@ -231,63 +248,33 @@ def _domination_report(F: MaxAffineFn, A: AffineMap, theta: np.ndarray) -> Domin
                             float(np.max(np.abs(F.slopes.T @ theta - A.w))))
 
 
-def _synth_pipeline(
+def _level_rows(F: MaxAffineFn, points: np.ndarray, scores: np.ndarray,
+                delta: float) -> np.ndarray:
+    """Coefficients of mu in the lifted level <Lam, b> - lam * eta_b at each
+    constraint point b, eta_b = delta - score_b - f(0) - 1."""
+    eta = delta - scores - F.value_at_origin() - 1.0
+    return points @ F.slopes.T - eta[:, None]
+
+
+def _certificate(
     F: MaxAffineFn,
+    mu: np.ndarray,
     points: np.ndarray,
     scores: np.ndarray,
     delta: float,
+    t_star: float,
     condition: MidpointReport,
     tol: ToleranceConfig,
-    spread: Optional[np.ndarray] = None,
 ) -> SynthCertificate:
-    """Shared LP core: maximize the lifted level over the gauge support set
-    {mu >= 0 : sum_i mu_i * (-bshift_i) <= 1}, bshift = b - f(0) - 1,
-    subject to one row per constraint point.
-
-    A payload k = max_l k_l of q > 1 pieces over a polytope comes in as the
-    vertex rows `scores` = k_1(v) and `spread` = k_l(v) - k_1(v), l >= 2.
-    For fixed weights the row is affine in z, so by the minimax theorem the
-    payload's share of a row is sum_l pi_l k_l(v) over pi >= 0 with
-    sum pi = lam.  Substituting pi_1 = lam - sum_{l>=2} pi_l leaves
-    lam * k_1(v) in the mu coefficients, adds one column per further piece
-    and the row sum_{l>=2} pi_l <= lam; one piece adds nothing.
-    """
-    f0 = F.value_at_origin()
-    p = F.npieces
-    r = 0 if spread is None else spread.shape[1]
-    eta = delta - scores - f0 - 1.0
-    # Row coefficients of mu_i in <Lam, b> - lam * eta_b: <a_i, b> - eta_b.
-    coeff = points @ F.slopes.T - eta[:, None]
-
-    n = coeff.shape[0]
-    nv = p + r + 2  # mu_1..mu_p, pi_2..pi_q, t_plus, t_minus
-    c = np.zeros(nv)
-    c[p + r] = 1.0
-    c[p + r + 1] = -1.0
-    n_rows = n + 1 + (r > 0)
-    A_ub = np.zeros((n_rows, nv))
-    b_ub = np.zeros(n_rows)
-    A_ub[0, :p] = -(F.offsets - f0 - 1.0)
-    b_ub[0] = 1.0
-    A_ub[1:n + 1, :p] = -coeff
-    A_ub[1:n + 1, p + r] = 1.0
-    A_ub[1:n + 1, p + r + 1] = -1.0
-    if r:
-        A_ub[1:n + 1, p:p + r] = -spread
-        A_ub[n + 1, :p] = -1.0
-        A_ub[n + 1, p:p + r] = 1.0
-
-    sol = solve_lp(c, A_ub, b_ub)
-    if not sol.is_optimal:
-        raise LpError(f"synthesis LP status {sol.status}")
-    mu = sol.x[:p].copy()
-    mu[mu < 0.0] = 0.0
+    """The certificate of gauge weights mu >= 0: the lifted map
+    (Lam, lam) = (slopes^T mu, sum mu), A = Lam/lam - 1/lam + f(0) + 1, and
+    the scored infimum of A over the constraint points."""
     lifted = LiftedLinear(LinearMap(F.slopes.T @ mu), float(np.sum(mu)))
     lam = lifted.lam
     if lam <= tol.lambda_min:
         raise DegenerateLambda(f"vertical multiplier {lam} <= {tol.lambda_min}")
     w = lifted.Lam.w / lam
-    A = AffineMap(w, -1.0 / lam + f0 + 1.0)
+    A = AffineMap(w, -1.0 / lam + F.value_at_origin() + 1.0)
 
     lhs = float(np.min(points @ A.w + A.c + scores))
     return SynthCertificate(
@@ -298,10 +285,46 @@ def _synth_pipeline(
         lhs=lhs,
         rhs=delta,
         gap=lhs - delta,
-        t_star=float(sol.value),
+        t_star=t_star,
         domination=_domination_report(F, A, mu / lam),
         condition=condition,
     )
+
+
+def _synth_pipeline(
+    F: MaxAffineFn,
+    points: np.ndarray,
+    scores: np.ndarray,
+    delta: float,
+    condition: MidpointReport,
+    tol: ToleranceConfig,
+) -> SynthCertificate:
+    """The synthesis LP of a finite scored set: maximize the lifted level
+    over the gauge support set {mu >= 0 : sum_i mu_i * (-bshift_i) <= 1},
+    bshift = b - f(0) - 1, subject to one row per constraint point."""
+    f0 = F.value_at_origin()
+    p = F.npieces
+    coeff = _level_rows(F, points, scores, delta)
+
+    n = coeff.shape[0]
+    nv = p + 2  # mu_1..mu_p, t_plus, t_minus
+    c = np.zeros(nv)
+    c[p] = 1.0
+    c[p + 1] = -1.0
+    A_ub = np.zeros((n + 1, nv))
+    b_ub = np.zeros(n + 1)
+    A_ub[0, :p] = -(F.offsets - f0 - 1.0)
+    b_ub[0] = 1.0
+    A_ub[1:, :p] = -coeff
+    A_ub[1:, p] = 1.0
+    A_ub[1:, p + 1] = -1.0
+
+    sol = solve_lp(c, A_ub, b_ub)
+    if not sol.is_optimal:
+        raise LpError(f"synthesis LP status {sol.status}")
+    mu = sol.x[:p].copy()
+    mu[mu < 0.0] = 0.0
+    return _certificate(F, mu, points, scores, delta, float(sol.value), condition, tol)
 
 
 def synth_affine_from_scored_set(
@@ -407,22 +430,37 @@ def _synth_polytope(
     k: Union[AffineMap, MaxAffineFn],
     tol: ToleranceConfig,
 ) -> SynthCertificate:
-    """The synthesis LP of every polytope form: one row per vertex of Z and
-    one weight per further payload piece, exact by the minimax theorem (see
-    `_synth_pipeline`).  A tight minorant is the case j = identity, k = 0,
-    a scored polytope the case j = identity, k = its score map."""
+    """Every polytope form from one LP, the minimum delta of f o j + k over Z
+    on the p*q composed pieces.  A tight minorant is the case j = identity,
+    k = 0, a scored polytope the case j = identity, k = its score map.
+
+    The LP's row duals rho_il give theta_i = sum_l rho_il on f's pieces and
+    pi_l = sum_i rho_il on k's, and by LP duality
+    min_v [sum_i theta_i (<a_i, j(v)> + b_i) + sum_l pi_l k_l(v)] = delta over
+    the vertices v: A = sum_i theta_i (a_i, b_i) <= f is tight.  The gauge
+    weights mu = theta / (theta . (f(0) + 1 - b)) make the gauge row tight,
+    so lam = sum mu lies in (0, 1], and t_star is the lifted level that mu,
+    with pi scaled alike, reaches over the vertex rows.  With q >= 2
+    pieces, A o j + k may be least inside Z, so lhs is the LP minimum over Z
+    on its q pieces."""
     pts, K = _composed_polytope(Z, j, k, F.dim)
     V = Z.vertices
     # Piece by piece, so an affine k gives exactly k.batch(V).
     KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
-    _, delta = min_convex_over_polytope(_compose(F.slopes, F.offsets, j, K), V)
-    cert = _synth_pipeline(F, pts, KV[:, 0], delta, _auto_report(), tol,
-                           KV[:, 1:] - KV[:, :1])
+    _, delta, rho = _min_lp(_compose(F.slopes, F.offsets, j, K), V)
+    rho = rho.reshape(F.npieces, K.npieces)
+    theta = rho.sum(axis=1)
+    scale = 1.0 / (theta @ (F.value_at_origin() + 1.0 - F.offsets))
+    mu = scale * theta
+    # The payload's share of a row beyond k_1(v), which the level rows hold.
+    levels = (_level_rows(F, pts, KV[:, 0], delta) @ mu
+              + (KV[:, 1:] - KV[:, :1]) @ (scale * rho.sum(axis=0)[1:]))
+    cert = _certificate(F, mu, pts, KV[:, 0], delta, float(np.min(levels)),
+                        _auto_report(), tol)
     if K.npieces == 1:
         return cert
-    # With more than one piece, A o j + k may be least inside Z.
     A = cert.affine
-    _, lhs = min_convex_over_polytope(_compose(A.w[None], np.array([A.c]), j, K), V)
+    _, lhs, _ = _min_lp(_compose(A.w[None], np.array([A.c]), j, K), V)
     return dataclasses.replace(cert, lhs=lhs, gap=lhs - delta)
 
 
@@ -442,6 +480,8 @@ def synth_composed_minorant(
     """
     if isinstance(Z, Polytope):
         return _synth_polytope(F, Z, j, k, tol)
-    j_table = np.asarray(j, dtype=np.float64).reshape(-1, F.dim)
+    j_table = np.asarray(j, dtype=np.float64)
+    if j_table.ndim != 2 or j_table.shape[1] != F.dim:
+        raise DimensionMismatch(f"the j table has shape {j_table.shape} but f is {F.dim}-d")
     k_table = np.asarray(k, dtype=np.float64).reshape(-1)
     return _synth_finite_strict(F, FiniteScoredSet(j_table, k_table), tol)

@@ -272,6 +272,21 @@ class TestRegressions:
         code = run_command([command, "--input", str(path)])
         return code, json.loads(capsys.readouterr().out)
 
+    def test_cli_import_skips_the_harness(self):
+        # Only `verify` and `gen` use minorant.harness; importing the CLI
+        # must not load it.
+        import os
+        import subprocess
+
+        import minorant
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(minorant.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import minorant.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('minorant')))")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert "'minorant.cli'" in out and "'minorant.harness'" not in out
+
     def test_hbl_polytope_form_satisfied(self, tmp_path, capsys):
         code, rep = self._run(tmp_path, capsys, self.HBL_POLYTOPE_DOC, "solve-hbl")
         assert code == EXIT_OK
@@ -330,6 +345,19 @@ class TestToleranceExitCodes:
             code, rep = self._run(tmp_path, capsys, text, "synth-sun")
             assert code == EXIT_NUMERICAL, tols
             assert rep["status"] == "numerical-failure"
+
+    def test_polytope_gap_against_tightest_tol_gap(self, tmp_path, capsys):
+        # A random 3-d polytope whose gap is nonzero: no tol_gap above zero
+        # lets it pass when the gap is larger.
+        payload = _edge_payload("synth-sun", 1)
+        runs = []
+        for tol_gap in (1e-300, 1e-15):
+            text = doc("synth-sun", payload, tolerances={"tol_gap": tol_gap, "tol_mid": 1e-6})
+            runs.append(self._run(tmp_path, capsys, text, "synth-sun"))
+        assert 1e-300 < abs(runs[0][1]["certificate"]["gap"]) <= 1e-15
+        assert [code for code, _ in runs] == [EXIT_NUMERICAL, EXIT_OK]
+        assert runs[0][1]["status"] == "numerical-failure"
+        assert runs[1][1]["certificate"] == runs[0][1]["certificate"]
 
     def test_zero_gap_passes_any_tol_gap(self, tmp_path, capsys):
         text = doc("synth-sun", json.loads(SUN_DOC)["payload"], tolerances={"tol_gap": 1e-300})
@@ -756,15 +784,35 @@ def _golden_documents():
             for name, (kind, payload, extra, flags) in docs.items()}
 
 
+def _edge_payload(kind, seed):
+    """A random 3-d polytope payload drawn like the goldens': synth-sun over
+    6 vertices, or synth-cahbl over 5 vertices in 2-d with an affine j and
+    k.  The tolerance-edge tests below pin seeds whose residuals sit just
+    above zero."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def r(*shape):
+        return np.round(rng.uniform(-2.0, 2.0, shape), 3)
+
+    f = {"pieces": [{"a": a, "b": b} for a, b in zip(r(5, 3).tolist(), r(5).tolist())]}
+    if kind == "synth-sun":
+        return {"f": f, "z": {"vertices": r(6, 3).tolist()}}
+    return {"f": f, "z": {"vertices": r(5, 2).tolist(),
+                          "j": {"matrix": r(3, 2).tolist(), "offset": r(3).tolist()},
+                          "k": {"lin": r(2).tolist(), "off": 0.5}}}
+
+
 # SHA-256 of each golden report, and its exit code.
 GOLDEN = {
     "affine-points": ("aaddad1a84d1d85c5cf9dfdb4a7f37520b4f186da50eaea63be55c89968a43e4", 0),
     "affine-points-violated": ("4915e33da4d0ec8cbe25907c5a5e52dec99eb63956a170aaa841bdad271f77b4", 1),
-    "affine-polytope": ("6671bbed3bce23ea2bd5701531eea75778c5cc447247b77a1507019b09bfab31", 0),
+    "affine-polytope": ("15c1eb32556aca8225e9dfeb2f1290e44f4927f0454e76040ba67196ce6a5661", 0),
     "cahbl-finite": ("268f2476375a467391f9bf5d2c082ac02d9c110c068c9744a2caa6a2e713e236", 0),
-    "cahbl-polytope-affine": ("b6dc7f00caff5deea2f925bedfc04a919773e37b2bfc207295e8125c8622857f", 0),
-    "cahbl-polytope-max-affine": ("98bab8feaea4c3e356156f31cb8681cbe54b865a2c0a85df50a06aeb112a5cef", 0),
-    "cahbl-polytope-max-affine-ok": ("36a4bb8998cbf8cffad0b15a1c62cc6f4f974fff6655a68cc7a50ccef3696941", 0),
+    "cahbl-polytope-affine": ("3bfa139e20b0b3ffc8fd17f85f2872a401bd3e2fc59aa4f575bde651a87401f6", 0),
+    "cahbl-polytope-max-affine": ("86a0c02cec6e3aaaef2a36cc2f800e386ebb59dacff166fa14663e1a82446fde", 0),
+    "cahbl-polytope-max-affine-ok": ("efa54078737af22bb02679fa00a04b824a4773e1228f1f25b8656b9a91f1f683", 0),
     "gauge-root": ("0ca67c3a93520c45f2a0f206c5268fb7bfbc0b60d3811764e7188571a4337186", 0),
     "gauge-zero": ("27b14ca7b6b8be95caa6dccaff85c540c2be00dedca8f8186bf55ba2c11eef06", 0),
     "gen-hbl": ("0c9fb1dc2f9ac415e955b336b3e5c182cea33437596046d2734e431fcf786d1e", 0),
@@ -773,16 +821,16 @@ GOLDEN = {
     "gen-scored-set": ("5bb66bedb817b7738cae895b25e52eb06a1892e58437217b8457cef1055f9f83", 0),
     "hbl-finite": ("a1f2ccb82287f51906529933c8921d44e9da62552796c2cdc7cfd15f882bddad", 0),
     "hbl-finite-violated": ("6550e2a1ae712334a74883c4f0f96307543a62b3d198bc585098c034cef21b9a", 1),
-    "hbl-polytope-affine": ("49854d82a0f0cd65911be4ec1b55e2194ea572cb0bafa4e9f22cb8b969617d09", 0),
+    "hbl-polytope-affine": ("036003c85815da33abcc70524d4bb25ec6aedf32c50280102220c1c3cc9c3315", 0),
     "hbl-polytope-max-affine": ("7b97edf37f584132a06a1a3128c3b70d9a375739d58cfe5c1e8291027e531930", 0),
     "hbl-product": ("c73a584d865a2049cfefc1487b47405fd54d4125511d29c16e5c92c004da7911", 0),
     "hbl-product-payload": ("a4f691d6e305ed44f74146ab00e9f97715765223428d9589e8634648f0eb2abf", 0),
     "mok-satisfied": ("1b3527de1bf7eeb0b13d34545cd139b3fb6ecd48d143f61057c69aee6c5b857f", 0),
     "mok-violated": ("6d65ef988d540c35c1646202711b02a0be97be6e355e5ef83babc95d360d92d2", 1),
     "sun-points": ("28fd6ac81d7825ba87309f116e76791d68f185d2a6da61364e83a3715a4bacba", 0),
-    "sun-vertices": ("54f7d75700eee36a2bab85ade8afdab1e36a59360641772419bb1b231e350aaf", 0),
+    "sun-vertices": ("1e58ec091e3a0fe7776f36f2a686b14ed5f6b10925cfdaaf2f43bf89c5231452", 0),
     "tol-gap-flag": ("8fba0d5984c0d7ebd13042a05228067320e3340b29e6f55b322959b7794b8ac5", 0),
-    "tolerances": ("1b42b8db7bc7097cb4f4df90154894fcab2e1301da93b014b557bd02ecd6806b", 2),
+    "tolerances": ("960a5999bf69dcc3acd180368a2c7dcf3c5e72a80b2784aed8de7953c7efb133", 0),
     "verify": ("12d4d1730a48140c1c855ed7a1d602207e47ced05f06dae021fbeed510229a8a", 0),
 }
 
@@ -873,13 +921,19 @@ class TestDominationTolerance:
     -tol_dom, and the slope residual ||slopes^T theta - w||_inf at most
     tol_dom."""
 
-    # (golden document, its residual that exceeds 1e-16)
-    CASES = [("cahbl-polytope-affine", "worst_deficit"), ("sun-vertices", "slope_residual")]
+    # (document, its residual that exceeds 1e-16): a golden, or a seed of
+    # `_edge_payload`.
+    CASES = [("cahbl-polytope-edge", "worst_deficit"), ("sun-vertices", "slope_residual")]
+    EDGE = {"cahbl-polytope-edge": ("synth-cahbl", 3)}
 
     @pytest.mark.parametrize("name,field", CASES)
     def test_residuals_against_tol_dom(self, tmp_path, capsys, name, field):
-        kind, text, _ = _golden_documents()[name]
-        payload = json.loads(text)["payload"]
+        if name in self.EDGE:
+            kind, seed = self.EDGE[name]
+            payload = _edge_payload(kind, seed)
+        else:
+            kind, text, _ = _golden_documents()[name]
+            payload = json.loads(text)["payload"]
         path = tmp_path / "in.json"
         runs = []
         for extra in ({}, {"tolerances": {"tol_dom": 1e-16}},

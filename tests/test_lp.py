@@ -142,7 +142,7 @@ def _reference(counts: _Counts, degenerate_limit: int = _DEGENERATE_LIMIT,
                     if degenerate >= degenerate_limit:
                         break
             if enter < 0:
-                return "optimal"
+                return "optimal", reduced
             leave = -1
             best_ratio = np.inf
             for r in range(m):
@@ -157,7 +157,7 @@ def _reference(counts: _Counts, degenerate_limit: int = _DEGENERATE_LIMIT,
                         best_ratio = ratio
                         leave = r
             if leave < 0:
-                return "unbounded"
+                return "unbounded", reduced
             if degenerate < degenerate_limit:
                 degenerate = degenerate + 1 if best_ratio <= _PIVOT_TOL else 0
                 counts.bland_fallbacks += degenerate == degenerate_limit
@@ -233,7 +233,7 @@ def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         drive_out(T, basis, art_mask, n + n_slack)
     cost2 = np.zeros(ncols + 1)
     cost2[:n] = c
-    status = simplex_core(T, basis, cost2, ~art_mask)
+    status, _ = simplex_core(T, basis, cost2, ~art_mask)
     if status == "unbounded":
         return LpSolution("unbounded", None, None)
     x = np.zeros(ncols)
@@ -399,6 +399,42 @@ def test_dantzig_pricing_takes_fewer_pivots_than_bland(name, monkeypatch):
     monkeypatch.setattr(lp_mod, "_pivot", lambda *args: pivots.append(pivot(*args)))
     solve_lp(*case)
     assert len(pivots) == dantzig.pivots < bland.pivots
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_duals_match_scipy_marginals(seed):
+    # A feasible, bounded LP around x0 > 0 with a negative-rhs row and an
+    # equality row with b < 0, so both duals read through an artificial
+    # start.  scipy minimizes -c, so its marginals are the duals negated.
+    rng = np.random.default_rng(3000 + seed)
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(1, 5))
+    x0 = rng.uniform(0.5, 1.5, n)
+    A_ub = np.vstack([rng.uniform(-2, 2, (m, n)), -np.ones((1, n)), np.eye(n)])
+    b_ub = np.concatenate([A_ub[:m] @ x0 + rng.uniform(0.1, 1.0, m),
+                           [-0.5 * x0.sum()], np.full(n, 5.0)])
+    A_eq = np.vstack([-rng.uniform(0.5, 1.5, (1, n)), rng.uniform(-2, 2, (seed % 2, n))])
+    b_eq = A_eq @ x0
+    assert np.any(b_ub < 0) and b_eq[0] < 0
+    c = rng.uniform(-2, 2, n)
+    sol = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    ref = linprog(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * n, method="highs")
+    assert sol.is_optimal and ref.status == 0
+    y_ub, y_eq = sol.duals[:len(b_ub)], sol.duals[len(b_ub):]
+    np.testing.assert_allclose(y_ub, -ref.ineqlin.marginals, atol=1e-8)
+    np.testing.assert_allclose(y_eq, -ref.eqlin.marginals, atol=1e-8)
+    # Strong duality, and dual feasibility: y_ub >= 0 and A^T y >= c.
+    assert abs(b_ub @ y_ub + b_eq @ y_eq - sol.value) <= 1e-9
+    assert np.all(y_ub >= -1e-9)
+    assert np.all(A_ub.T @ y_ub + A_eq.T @ y_eq >= c - 1e-9)
+
+
+def test_duals_only_when_optimal():
+    assert solve_lp(np.array([-1.0])).duals.shape == (0,)
+    assert solve_lp(np.array([1.0])).duals is None
+    infeasible = solve_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+    assert infeasible.status == "infeasible" and infeasible.duals is None
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -3,13 +3,19 @@ polygons with payloads of one to three pieces, checked against scipy's
 polytope minimum, the barycentric grid oracle and the sampled domination
 oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import minorant.hbl as hbl_mod
+import minorant.synth as synth_mod
 from minorant.core import AffineMap, AffineTransform, MaxAffineFn, PolyhedralSublinear, Polytope
 from minorant.harness import SplitMix64, domination_oracle, grid_min_oracle
 from minorant.hbl import solve_hbl_jk
-from minorant.synth import synth_composed_minorant
+from minorant.synth import (
+    LiftedPolytope, synth_affine_from_scored_set, synth_composed_minorant, synth_tight_minorant,
+)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -102,3 +108,53 @@ def test_hbl_polytope_is_exact(t, V, j, k, payload):
     theta = cert.weights[0]
     assert np.all(theta >= 0.0) and abs(np.sum(theta) - 1.0) <= 1e-12
     assert np.array_equal(cert.maps[0].w, S.pieces.T @ theta)
+
+
+def test_one_lp_per_polytope_form(monkeypatch):
+    # The weights are the row duals of the minimum LP: one LP per form, and
+    # a second one, for lhs, only when the payload has q >= 2 pieces.
+    calls = []
+    for module in (synth_mod, hbl_mod):
+        def counting(*args, real=module.solve_lp):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(module, "solve_lp", counting)
+
+    def count(solve, *args):
+        calls.clear()
+        solve(*args)
+        return len(calls)
+
+    for t, V, j, k, payload in CORPUS:
+        rng = SplitMix64(9400 + t)
+        F = MaxAffineFn(rng.uniform_matrix(3, j.dim_out, -2.0, 2.0),
+                        rng.uniform_vector(3, -2.0, 2.0))
+        S = PolyhedralSublinear(F.slopes)
+        Z = Polytope(V)
+        assert count(synth_composed_minorant, F, j, payload, Z) == (1 if k.npieces == 1 else 2)
+        assert count(solve_hbl_jk, S, j, payload, Z) == 1
+        G = MaxAffineFn(rng.uniform_matrix(3, Z.dim, -2.0, 2.0), rng.uniform_vector(3, -2.0, 2.0))
+        assert count(synth_tight_minorant, G, Z) == 1
+        B = LiftedPolytope(Z, rng.uniform_vector(Z.dim, -2.0, 2.0), 0.5)
+        assert count(synth_affine_from_scored_set, G, B) == 1
+
+
+def test_synthesis_memory_stays_near_the_minimum_lp():
+    # 256 vertices in 6-d and 48 pieces.  The minimum LP's tableau has 49
+    # rows and 256 + 2 variables, 48 slacks, one artificial and the rhs as
+    # columns.  A vertex-row LP (257 rows x 308 columns) would put the peak
+    # above 14 such tableaux; the one-LP path peaks near 6.
+    rng = np.random.default_rng(5)
+    F = MaxAffineFn(rng.uniform(-2.0, 2.0, (48, 6)), rng.uniform(-2.0, 2.0, 48))
+    Z = Polytope(rng.normal(size=(256, 6)))
+    tableau_bytes = 49 * (258 + 48 + 1 + 1) * 8
+    synth_tight_minorant(F, Z)  # warm up lazily built state
+    tracemalloc.start()
+    try:
+        cert = synth_tight_minorant(F, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(cert.gap) <= TOL
+    assert peak < 8 * tableau_bytes

@@ -403,6 +403,13 @@ class TestDimensionMismatch:
         with pytest.raises(DimensionMismatch, match="scored set is 3-d but f is 2-d"):
             synth_affine_from_scored_set(self.F2, B)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_composed_table(self, d):
+        # A (2, 3) j table is three columns wide; f is d-d.
+        F = MaxAffineFn(np.eye(d), np.zeros(d))
+        with pytest.raises(DimensionMismatch, match=rf"j table has shape \(2, 3\) but f is {d}-d"):
+            synth_composed_minorant(F, np.ones((2, 3)), np.zeros(2), None)
+
     def test_composed_payload(self):
         with pytest.raises(DimensionMismatch, match="payload is 2-d but the polytope 1-d"):
             synth_composed_minorant(

@@ -17,7 +17,8 @@ For every workload and seed the record holds, per end-to-end metric of
 ``BENCHMARK.json``: each side's runs, median and quartiles, the parent's
 interquartile range, how much worse the change's median is (a negative
 fraction is better) and how many pairs the change won, ties counting for
-neither.  It also holds one 10 s ``--trace 1`` run per workload and side on
+neither.  Next to ``peak_rss_mb`` it keeps each run's count of attempted
+problems.  It also holds one 10 s ``--trace 1`` run per workload and side on
 the first seed, and both SHAs.  The file is rewritten after every pair, so an
 interrupted session keeps what it measured.
 """
@@ -89,6 +90,13 @@ def _summary(pairs: list, metrics: list) -> dict:
             "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+    if "peak_rss_mb" in out["metrics"]:
+        # The bench keeps one output digest per problem per round, so a run
+        # that gets through more problems peaks higher: each run's count of
+        # problems sits next to its peak, to split the two.
+        out["metrics"]["peak_rss_mb"]["attempted"] = {
+            "parent": [p["attempted"] for p, _ in pairs],
+            "change": [c["attempted"] for _, c in pairs]}
     return out
 
 
