@@ -347,8 +347,8 @@ class TestToleranceExitCodes:
             assert rep["status"] == "numerical-failure"
 
     def test_polytope_gap_against_tightest_tol_gap(self, tmp_path, capsys):
-        # A random 3-d polytope whose gap is nonzero: no tol_gap above zero
-        # lets it pass when the gap is larger.
+        # A seeded 3-d polytope whose gap is nonzero but within 1e-15: the
+        # tightest tol_gap fails it, and 1e-15 passes it.
         payload = _edge_payload("synth-sun", 1)
         runs = []
         for tol_gap in (1e-300, 1e-15):
@@ -785,10 +785,10 @@ def _golden_documents():
 
 
 def _edge_payload(kind, seed):
-    """A random 3-d polytope payload drawn like the goldens': synth-sun over
-    6 vertices, or synth-cahbl over 5 vertices in 2-d with an affine j and
-    k.  The tolerance-edge tests below pin seeds whose residuals sit just
-    above zero."""
+    """A random payload drawn like the goldens', with a 5-piece f in 3-d:
+    synth-sun over 6 vertices in 3-d, or synth-cahbl over 5 vertices in 2-d
+    with an affine j into 3-d and an affine k.  The tolerance-edge tests
+    pin seeds whose residuals sit just above zero."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -923,8 +923,8 @@ class TestDominationTolerance:
 
     # (document, its residual that exceeds 1e-16): a golden, or a seed of
     # `_edge_payload`.
-    CASES = [("cahbl-polytope-edge", "worst_deficit"), ("sun-vertices", "slope_residual")]
-    EDGE = {"cahbl-polytope-edge": ("synth-cahbl", 3)}
+    CASES = [("cahbl-edge", "worst_deficit"), ("sun-vertices", "slope_residual")]
+    EDGE = {"cahbl-edge": ("synth-cahbl", 3)}
 
     @pytest.mark.parametrize("name,field", CASES)
     def test_residuals_against_tol_dom(self, tmp_path, capsys, name, field):
