@@ -6,13 +6,15 @@ Exit codes are part of the contract:
 * 1 — a hypothesis (midpoint / recession condition) is violated; the
       witness is in the report
 * 2 — numerical failure (certificate or gauge residual outside the
-      document's tolerances, degenerate multiplier, bracket failure, LP
-      anomaly, overflow, failed verify)
+      document's tolerances, bracket failure, LP anomaly, overflow, failed
+      verify)
 * 3 — parse or schema error, including a document over a work cap
 
-Every polytope form is exact: one LP minimizes f o j + k over the polytope
-on the composed pieces, and its row duals are the certificate's weights
-(LP duality).
+Every form takes its weights from one LP: the minimum of a max-affine
+function over the convex hull of the keys (the scored points, the table
+rows or the polytope's vertices), whose row duals are the certificate's
+weights (LP duality).  Over a polytope it is exact on the composed pieces of
+f o j + k.
 
 A report is always written once parsing succeeded.  It is strict JSON:
 each float is written as its shortest repr, which parses back to the same
@@ -49,7 +51,6 @@ from .lp import LpError
 from .mok import MidpointReport, MokCertificate, solve_mok
 from .synth import (
     ConditionViolated,
-    DegenerateLambda,
     FiniteScoredSet,
     LiftedPolytope,
     SynthCertificate,
@@ -200,12 +201,13 @@ def _check_work(path: str, keys: int, pieces: int, *lps: Tuple[int, int, int]) -
                           f"exceeds the cap {MAX_TABLEAU_CELLS}")
 
 
-def _polytope_lp(pieces: int, nvertices: int, q: int = 1) -> Tuple[int, int, int]:
-    """The one LP of a polytope form: the minimum of f o j + k over the
-    polytope on the p*q composed pieces, whose row duals are the weights.
-    The LP for the minimum of A o j + k has q pieces, so it is never the
-    larger."""
-    return (pieces * q, 1, nvertices + 2)
+def _min_lp_shape(pieces: int, keys: int, spaces: int = 1) -> Tuple[int, int, int]:
+    """The shape of `synth._min_lp`, the one LP of every form: one row per
+    piece of all spaces and the simplex row; the keys' weights and two level
+    variables per space.  A polytope form has the p*q composed pieces over
+    the vertices; the LP for the minimum of A o j + k has q pieces, so it is
+    never the larger."""
+    return (pieces, 1, keys + 2 * spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def _build_solve_mok(payload: dict, path: str) -> tuple:
     obj = _take(payload, path, {"s": True, "d": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")
     D = np.asarray(_matrix(obj["d"], f"{path}.d", S.dim))
-    _check_work(f"{path}.d", len(D), S.npieces, (len(D), 1, S.npieces + 2))
+    _check_work(f"{path}.d", len(D), S.npieces, _min_lp_shape(S.npieces, len(D)))
     return S, D
 
 
@@ -236,13 +238,13 @@ def _build_synth_affine(payload: dict, path: str) -> tuple:
         bb = _take(b, f"{path}.b", {"points": True, "scores": True})
         pts = _matrix(bb["points"], f"{path}.b.points", F.dim)
         scores = _num_list(bb["scores"], f"{path}.b.scores", len(pts))
-        _check_work(f"{path}.b.points", len(pts), F.npieces, (len(pts) + 1, 0, F.npieces + 2))
+        _check_work(f"{path}.b.points", len(pts), F.npieces, _min_lp_shape(F.npieces, len(pts)))
         return F, FiniteScoredSet(np.asarray(pts), np.asarray(scores))
     bb = _take(b, f"{path}.b", {"vertices": True, "score_lin": True, "score_off": True})
     V = _matrix(bb["vertices"], f"{path}.b.vertices", F.dim)
     lin = _num_list(bb["score_lin"], f"{path}.b.score_lin", F.dim)
     off = _number(bb["score_off"], f"{path}.b.score_off")
-    _check_work(f"{path}.b.vertices", 0, 0, _polytope_lp(F.npieces, len(V)))
+    _check_work(f"{path}.b.vertices", 0, 0, _min_lp_shape(F.npieces, len(V)))
     return F, LiftedPolytope(Polytope(np.asarray(V)), np.asarray(lin), off)
 
 
@@ -253,11 +255,11 @@ def _build_synth_sun(payload: dict, path: str) -> tuple:
     if "points" in z:
         zz = _take(z, f"{path}.z", {"points": True})
         pts = _matrix(zz["points"], f"{path}.z.points", F.dim)
-        _check_work(f"{path}.z.points", len(pts), F.npieces, (len(pts) + 1, 0, F.npieces + 2))
+        _check_work(f"{path}.z.points", len(pts), F.npieces, _min_lp_shape(F.npieces, len(pts)))
         return F, np.asarray(pts)
     zz = _take(z, f"{path}.z", {"vertices": True})
     V = _matrix(zz["vertices"], f"{path}.z.vertices", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, _polytope_lp(F.npieces, len(V)))
+    _check_work(f"{path}.z.vertices", 0, 0, _min_lp_shape(F.npieces, len(V)))
     return F, Polytope(np.asarray(V))
 
 
@@ -269,11 +271,11 @@ def _build_synth_cahbl(payload: dict, path: str) -> tuple:
         zz = _take(z, f"{path}.z", {"j": True, "k": True})
         jt = _matrix(zz["j"], f"{path}.z.j", F.dim)
         kt = _num_list(zz["k"], f"{path}.z.k", len(jt))
-        _check_work(f"{path}.z.j", len(jt), F.npieces, (len(jt) + 1, 0, F.npieces + 2))
+        _check_work(f"{path}.z.j", len(jt), F.npieces, _min_lp_shape(F.npieces, len(jt)))
         return F, np.asarray(jt), np.asarray(kt), None
     zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
     Z, j, k, q = _parse_composed(zz, f"{path}.z", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, _polytope_lp(F.npieces, Z.nvertices, q))
+    _check_work(f"{path}.z.vertices", 0, 0, _min_lp_shape(F.npieces * q, Z.nvertices))
     return F, j, k, Z
 
 
@@ -300,7 +302,7 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
         if "payload" in obj:
             kv = np.asarray(_num_list(obj["payload"], f"{path}.payload", nz))
         pieces = sum(S.npieces for S in sublinears)
-        _check_work(f"{path}.tables", nz, pieces, (nz, len(sublinears), pieces + 2))
+        _check_work(f"{path}.tables", nz, pieces, _min_lp_shape(pieces, nz, len(sublinears)))
         return (HblInstance(sublinears, tables, kv),)
     if "s" not in payload:
         raise SchemaError(f"{path}: expected either 'sublinears' or 's'")
@@ -309,13 +311,13 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
         obj = _take(payload, path, {"s": True, "vertices": True, "j": True, "k": True})
         S = _parse_sublinear(obj["s"], f"{path}.s")
         Z, j, k, q = _parse_composed(obj, path, S.dim)
-        _check_work(f"{path}.vertices", 0, 0, _polytope_lp(S.npieces, Z.nvertices, q))
+        _check_work(f"{path}.vertices", 0, 0, _min_lp_shape(S.npieces * q, Z.nvertices))
         return S, j, k, Z
     obj = _take(payload, path, {"s": True, "j": True, "k": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")
     jt = _matrix(obj["j"], f"{path}.j", S.dim)
     kt = _num_list(obj["k"], f"{path}.k", len(jt))
-    _check_work(f"{path}.j", len(jt), S.npieces + 1, (len(jt), 2, S.npieces + 3))
+    _check_work(f"{path}.j", len(jt), S.npieces, _min_lp_shape(S.npieces, len(jt)))
     return S, np.asarray(jt), np.asarray(kt), None
 
 
@@ -601,7 +603,7 @@ def _run_parsed(problem: ProblemFile, text: str,
     except ConditionViolated as e:
         cert = {"error": "condition-violated", "condition": _midpoint_json(e.report)}
         code = EXIT_HYPOTHESIS
-    except (DegenerateLambda, BracketFailure, LpError, FloatingPointError) as e:
+    except (BracketFailure, LpError, FloatingPointError) as e:
         cert = {"error": type(e).__name__, "message": str(e)}
         code = EXIT_NUMERICAL
     except InvalidInput as e:

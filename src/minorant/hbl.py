@@ -2,23 +2,29 @@
 
 For sublinear S_1..S_n on separate coordinate spaces and maps j_m from a
 common index set, find linear L_m <= S_m whose summed composition has the
-same infimum as the summed sublinear composition.  The product LP keeps one
-simplex of weights per space: a linear map is dominated by the summed
-sublinear functional exactly when each component is dominated by its own,
-so the compact formulation is exact and the expanded product piece set is
-only used in tests at tiny sizes.
+same infimum as the summed sublinear composition.  A linear map is
+dominated by the summed sublinear functional exactly when each component is
+dominated by its own, so the weights are one simplex per space, and the
+expanded product piece set is only used in tests at tiny sizes.
+
+Every form reads its weights from the row duals of `synth._min_lp`, the
+minimum over the keys' simplex of sum_m S_m(sum_z nu_z j_m(z)) plus the
+payload: one space per sublinear, one row per piece, whatever the number of
+keys.  A payload k is folded into the first space's gains.
 
 The scalar-payload form (one sublinear S plus a payload k) is the two-space
 case.  Over a finite key set the second space is the reals with the
-identity functional; its support set is the single weight 1, so the
-identity comes out structurally, with no tolerance.  Over a polytope the
-second space carries the homogenized payload pieces, and the weights of
-both spaces are the row duals of the one LP that minimizes S o j + k over
-the polytope.  One space with no payload is `minorant.mok.solve_mok`.
+identity functional; its support set is the single weight 1, so k is the
+payload of the one-space LP and the identity comes out structurally, with
+no tolerance.  Over a polytope the second space carries the homogenized
+payload pieces, and the weights of both spaces are the row duals of the
+one LP that minimizes S o j + k over the polytope.  One space with no
+payload is `minorant.mok.solve_mok`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -36,9 +42,8 @@ from .core import (
     Polytope,
     ToleranceConfig,
 )
-from .lp import LpError, solve_lp
 from .scan import MidpointReport, midpoint_scan
-from .synth import _auto_report, _compose, _composed_polytope, _min_lp
+from .synth import _auto_report, _compose, _composed_polytope, _min_lp, _polytope_min
 
 __all__ = [
     "HblInstance",
@@ -114,8 +119,8 @@ def solve_hbl_n(
     inst: HblInstance,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> HblCertificate:
-    """Single LP over one simplex per space maximizing the joint level,
-    payload included."""
+    """The minimum LP with one simplex of weights per space, payload
+    included."""
     return _solve_product(inst, tol)
 
 
@@ -124,47 +129,22 @@ def _solve_product(
     tol: ToleranceConfig,
     midpoint: Optional[MidpointReport] = None,
 ) -> HblCertificate:
-    """The product LP; the key set is scanned for the midpoint condition
-    unless a report is given."""
-    nz = inst.nkeys
-    counts = [S.npieces for S in inst.sublinears]
-    offsets = np.cumsum([0] + counts)
-    nmu = offsets[-1]
-    nv = nmu + 2  # all weights, then t_plus, t_minus
-
-    c = np.zeros(nv)
-    c[nmu] = 1.0
-    c[nmu + 1] = -1.0
-
-    # One simplex constraint per space.
-    A_eq = np.zeros((inst.nspaces, nv))
-    for m in range(inst.nspaces):
-        A_eq[m, offsets[m]:offsets[m + 1]] = 1.0
-    b_eq = np.ones(inst.nspaces)
-
-    # Level rows: sum_m <L_m, j_m(z)> + k(z) >= t  =>  t - sum(...) <= k(z).
-    A_ub = np.zeros((nz, nv))
-    for m, (S, tab) in enumerate(zip(inst.sublinears, inst.tables)):
-        A_ub[:, offsets[m]:offsets[m + 1]] = -(tab @ S.pieces.T)
-    A_ub[:, nmu] = 1.0
-    A_ub[:, nmu + 1] = -1.0
-    b_ub = np.zeros(nz) if inst.payload is None else inst.payload
-
-    sol = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
-    if not sol.is_optimal:
-        raise LpError(f"product LP status {sol.status}")
+    """The minimum LP with one space per sublinear, on the gains
+    T_m @ S_m.pieces^T; the key set is scanned for the midpoint condition
+    unless a report is given.  A payload is folded into the first space's
+    gains, which is exact because that space's weights sum to 1."""
+    gains = [tab @ S.pieces.T for S, tab in zip(inst.sublinears, inst.tables)]
+    if inst.payload is not None:
+        gains[0] = gains[0] + inst.payload[:, None]
+    _, weights = _min_lp(gains, [np.zeros(G.shape[1]) for G in gains])
 
     maps: List[LinearMap] = []
-    weights: List[np.ndarray] = []
     # No zero payload is added when there is none: 0.0 + -0.0 is 0.0.
     lin_side = [] if inst.payload is None else [inst.payload]
     sub_side = list(lin_side)
-    for m, (S, tab) in enumerate(zip(inst.sublinears, inst.tables)):
-        theta = sol.x[offsets[m]:offsets[m + 1]].copy()
-        theta[theta < 0.0] = 0.0
+    for S, tab, theta in zip(inst.sublinears, inst.tables, weights):
         Lm = LinearMap(S.pieces.T @ theta)
         maps.append(Lm)
-        weights.append(theta)
         lin_side.append(tab @ Lm.w)
         sub_side.append(S.batch(tab))
 
@@ -205,7 +185,7 @@ def solve_hbl_jk(
         # One LP: the minimum of S o j + k over Z on the p*q composed pieces,
         # which may lie inside Z.  Its row duals rho_il give the weights
         # theta_i = sum_l rho_il of S and pi_l = sum_i rho_il of the payload.
-        _, target, rho = _min_lp(_compose(S.pieces, np.zeros(S.npieces), j, K), V)
+        _, target, rho = _polytope_min(_compose(S.pieces, np.zeros(S.npieces), j, K), V)
         rho = rho.reshape(S.npieces, K.npieces)
         weights = [rho.sum(axis=1), rho.sum(axis=0)]
         maps = [LinearMap(S.pieces.T @ weights[0]),
@@ -217,8 +197,10 @@ def solve_hbl_jk(
                               gap=target - value, midpoint=_auto_report())
 
     # Second space: the reals with the identity functional.  Its only piece
-    # is the weight 1, so the LP returns the identity exactly.
-    identity = PolyhedralSublinear(np.array([[1.0]]))
+    # has the weight 1, so k is the payload of the one-space LP on S and the
+    # identity comes out exactly.
     j_table = np.asarray(j, dtype=np.float64).reshape(-1, S.dim)
-    k_table = np.asarray(k, dtype=np.float64).reshape(-1, 1)
-    return _solve_product(HblInstance([S, identity], [j_table, k_table]), tol)
+    k_table = np.asarray(k, dtype=np.float64).reshape(-1)
+    cert = _solve_product(HblInstance([S], [j_table], k_table), tol)
+    return dataclasses.replace(cert, maps=cert.maps + [LinearMap(np.ones(1))],
+                               weights=cert.weights + [np.ones(1)])

@@ -8,9 +8,9 @@ lowest-index basic variable leaves on ratio ties.  After
 `_DEGENERATE_LIMIT` consecutive degenerate pivots the phase switches to
 Bland's rule (lowest eligible index enters) for good, so it cannot cycle.
 
-Problem sizes here are modest: tens of rows, and one column per vertex on
-the polytope forms (up to a few hundred on the benchmark), so a dense
-tableau is the right tool.
+Problem sizes here are modest: one row per piece, tens on the benchmark,
+and one column per key, a point or a vertex (up to a few hundred on the
+benchmark), so a dense tableau is the right tool.
 
 Tableau layout: the variables, one slack per inequality row, one artificial
 per row that needs one (an equality row or a row with a negative right-hand
@@ -146,7 +146,7 @@ def solve_lp(
                            np.asarray(b_k, dtype=np.float64).reshape(-1)))
     (A_ub, b_ub), (A_eq, b_eq) = blocks
     n_slack = A_ub.shape[0]
-    A, b = np.vstack([A_ub, A_eq]), np.concatenate([b_ub, b_eq])
+    b = np.concatenate([b_ub, b_eq])
     m = b.size
     if m == 0:
         # Unconstrained over the nonnegative orthant.
@@ -155,14 +155,18 @@ def solve_lp(
         return LpSolution("optimal", np.zeros(n), 0.0, np.zeros(0))
 
     # A row with a negative rhs is negated; it and every equality row start
-    # on an artificial, every other row on its slack.
-    sign = np.where(b < 0, -1.0, 1.0)
+    # on an artificial, every other row on its slack.  The rows go straight
+    # into the tableau and are negated there, so no copy of A is made.
+    negative = b < 0
+    sign = np.where(negative, -1.0, 1.0)
     slack_rows = np.arange(n_slack)
-    art_rows = np.flatnonzero((b < 0) | (np.arange(m) >= n_slack))
+    art_rows = np.flatnonzero(negative | (np.arange(m) >= n_slack))
     art_cols = n + n_slack + np.arange(art_rows.size)
     ncols = n + n_slack + art_rows.size
     T = np.zeros((m, ncols + 1))
-    T[:, :n] = sign[:, None] * A
+    T[:n_slack, :n] = A_ub
+    T[n_slack:, :n] = A_eq
+    np.negative(T[:, :n], out=T[:, :n], where=negative[:, None])
     T[slack_rows, n + slack_rows] = sign[:n_slack]
     T[art_rows, art_cols] = 1.0
     T[:, -1] = sign * b

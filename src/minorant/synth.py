@@ -1,4 +1,4 @@
-"""Affine-minorant synthesis pipelines.
+"""Affine-minorant synthesis from one minimum LP.
 
 Given a max-affine convex f and a scored set B of (point, score) pairs whose
 midpoint-recession condition holds, produce an affine A <= f whose scored
@@ -13,20 +13,23 @@ There is one synthesis path per kind of set.  Every finite form goes through
 minorant is the Lagrange form with j the identity and k = 0, and a scored
 polytope the one with j the identity and k its affine score map.
 
-The mechanism: the linear maps (x, alpha) -> <Lam, x> - lam * alpha that are
-dominated by the epigraph gauge of the shifted f are exactly the projections
-of {mu >= 0 : sum_i mu_i * (-bshift_i) <= 1} under Lam = sum_i mu_i a_i,
-lam = sum_i mu_i.  Over a finite set, maximizing the lifted level over the
-induced point set yields lam > 0 and A = Lam/lam - 1/lam + f(0) + 1.  Over a
-polytope, the weights are the row duals of the LP that computes the scored
-infimum, so that one LP gives both delta and A.
+The mechanism: every affine A <= f lies below a convex combination
+sum_i theta_i (a_i, b_i) of f's pieces, so the best scored infimum of A is a
+max over theta on the simplex of a min over B.  By LP duality it is the
+minimum, over the convex hull of B's keys, of a max-affine function, which
+`_min_lp` computes; its row duals are theta.  Over a finite set the keys are
+the scored points, with f's offsets and the scores in the gains; over a
+polytope they are the vertices, on the pieces of f o j + k.  The gauge
+weights mu = theta / (theta . (f(0) + 1 - b)) give the lifted map
+(x, alpha) -> <Lam, x> - lam * alpha of the epigraph gauge, with
+lam = sum mu in (0, 1] and A = Lam/lam - 1/lam + f(0) + 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +56,6 @@ __all__ = [
     "LiftedLinear",
     "DominationReport",
     "SynthCertificate",
-    "DegenerateLambda",
     "ConditionViolated",
     "check_scored_midpoint",
     "synth_affine_from_scored_set",
@@ -62,12 +64,6 @@ __all__ = [
     "min_convex_over_polytope",
     "synth_composed_minorant",
 ]
-
-
-class DegenerateLambda(RuntimeError):
-    """The vertical multiplier came out <= lambda_min.  The underlying
-    theory guarantees a strictly positive multiplier, so this is a numerical
-    failure, never silently accepted."""
 
 
 class ConditionViolated(RuntimeError):
@@ -160,8 +156,8 @@ class SynthCertificate:
 
     def within(self, tol: ToleranceConfig) -> bool:
         """The two scored infima agree, the LP level reached 1, the
-        multiplier is positive and both residuals of A <= f are small, each
-        within `tol`."""
+        multiplier is above `lambda_min` and both residuals of A <= f are
+        small, each within `tol`."""
         return (
             abs(self.gap) <= tol.tol_gap
             and self.t_star >= 1.0 - tol.tol_lp
@@ -194,51 +190,61 @@ def check_scored_midpoint(
     return midpoint_scan([B.points @ F.slopes.T], B.scores, tol)
 
 
-def _min_lp(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
-    """Exact LP minimum of a max-affine function over conv(vertices): the
-    minimizer, f's value there and the row duals rho of f's pieces.
+def _min_lp(gains: Sequence[np.ndarray],
+            offsets: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The one LP of every form: the minimum over nu on the keys' simplex of
+    sum_m max_i ((G_m^T nu)_i + c_mi), for one (keys, pieces) gain table G_m
+    and one offset vector c_m per space.  Returns nu and each space's row
+    duals rho_m.
 
-    The LP is min t over nu on the simplex with t >= <a_i, V^T nu> + b_i for
-    every piece.  By LP duality rho >= 0 sums to 1 and
-    min_v sum_i rho_i (<a_i, v> + b_i) is the same minimum, so rho are the
-    weights of an affine minorant of f that is tight over the polytope."""
-    V = np.asarray(vertices, dtype=np.float64)
-    if V.ndim == 1:
-        V = V.reshape(1, -1)
-    if V.shape[0] < 1:
-        raise InvalidInput("vertex list must be nonempty")
-    k = V.shape[0]
-    p = F.npieces
-    G = V @ F.slopes.T            # G[j, i] = <a_i, v_j>
-
-    # Variables: nu_1..nu_k (simplex), t_plus, t_minus; minimize t.
-    nv = k + 2
+    Each space has a free level t_m = t_m+ - t_m- and one row
+    G_m^T nu - t_m <= -c_m per piece; only the simplex row needs an
+    artificial column when every c_m >= 0.  By LP duality each rho_m >= 0
+    sums to 1 and the least key value of sum_m sum_i rho_mi (G_m + c_m)_i is
+    the same minimum: rho are the weights of every certificate."""
+    k = gains[0].shape[0]
+    nv = k + 2 * len(gains)
     c = np.zeros(nv)
-    c[k] = -1.0
-    c[k + 1] = 1.0
+    c[k::2] = -1.0
+    c[k + 1::2] = 1.0
     A_eq = np.zeros((1, nv))
     A_eq[0, :k] = 1.0
-    b_eq = np.array([1.0])
-    A_ub = np.zeros((p, nv))
-    A_ub[:, :k] = G.T
-    A_ub[:, k] = -1.0
-    A_ub[:, k + 1] = 1.0
-    b_ub = -F.offsets
+    A_ub = np.zeros((sum(G.shape[1] for G in gains), nv))
+    spaces, start = [], 0             # each space's rows
+    for m, G in enumerate(gains):
+        rows = slice(start, start + G.shape[1])
+        A_ub[rows, :k] = G.T
+        A_ub[rows, k + 2 * m] = -1.0
+        A_ub[rows, k + 2 * m + 1] = 1.0
+        spaces.append(rows)
+        start = rows.stop
 
-    sol = solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+    sol = solve_lp(c, A_ub, -np.concatenate(offsets), A_eq, np.array([1.0]))
     if not sol.is_optimal:
-        raise LpError(f"polytope minimization LP status {sol.status}")
-    nu = sol.x[:k]
-    x_star = V.T @ nu
-    rho = sol.duals[:p].copy()
+        raise LpError(f"minimum LP status {sol.status}")
+    rho = sol.duals[:A_ub.shape[0]].copy()
     rho[rho < 0.0] = 0.0
+    return sol.x[:k], [rho[rows] for rows in spaces]
+
+
+def _polytope_min(F: MaxAffineFn, V: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    """The minimizer of a max-affine function over conv(V), f's value there
+    and the row duals of f's pieces: the minimum LP with the vertices as
+    keys, one space and f's offsets."""
+    nu, (rho,) = _min_lp([V @ F.slopes.T], [F.offsets])
+    x_star = V.T @ nu
     return x_star, float(F(x_star)), rho
 
 
 def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.ndarray, float]:
     """Exact LP minimum of a max-affine function over conv(vertices): the
     minimizer and f's value there."""
-    x_star, value, _ = _min_lp(F, vertices)
+    V = np.asarray(vertices, dtype=np.float64)
+    if V.ndim == 1:
+        V = V.reshape(1, -1)
+    if V.shape[0] < 1:
+        raise InvalidInput("vertex list must be nonempty")
+    x_star, value, _ = _polytope_min(F, V)
     return x_star, value
 
 
@@ -258,23 +264,31 @@ def _level_rows(F: MaxAffineFn, points: np.ndarray, scores: np.ndarray,
 
 def _certificate(
     F: MaxAffineFn,
-    mu: np.ndarray,
+    theta: np.ndarray,
     points: np.ndarray,
     scores: np.ndarray,
     delta: float,
-    t_star: float,
     condition: MidpointReport,
-    tol: ToleranceConfig,
+    payload: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> SynthCertificate:
-    """The certificate of gauge weights mu >= 0: the lifted map
-    (Lam, lam) = (slopes^T mu, sum mu), A = Lam/lam - 1/lam + f(0) + 1, and
-    the scored infimum of A over the constraint points."""
+    """The certificate of weights theta on the simplex of f's pieces, the
+    row duals of the minimum LP.
+
+    The gauge weights mu = theta / (theta . (f(0) + 1 - b)) make the gauge
+    row tight, so lam = sum mu lies in (0, 1]; the lifted map is
+    (Lam, lam) = (slopes^T mu, sum mu) and A = Lam/lam - 1/lam + f(0) + 1.
+    t_star is the least lifted level that mu reaches over the constraint
+    points; a payload (rows, pi) adds, per point, the payload's share beyond
+    its score, the rows weighted by pi scaled alike."""
+    scale = 1.0 / (theta @ (F.value_at_origin() + 1.0 - F.offsets))
+    mu = scale * theta
+    levels = _level_rows(F, points, scores, delta) @ mu
+    if payload is not None:
+        rows, pi = payload
+        levels = levels + rows @ (scale * pi)
     lifted = LiftedLinear(LinearMap(F.slopes.T @ mu), float(np.sum(mu)))
     lam = lifted.lam
-    if lam <= tol.lambda_min:
-        raise DegenerateLambda(f"vertical multiplier {lam} <= {tol.lambda_min}")
-    w = lifted.Lam.w / lam
-    A = AffineMap(w, -1.0 / lam + F.value_at_origin() + 1.0)
+    A = AffineMap(lifted.Lam.w / lam, -1.0 / lam + F.value_at_origin() + 1.0)
 
     lhs = float(np.min(points @ A.w + A.c + scores))
     return SynthCertificate(
@@ -285,46 +299,10 @@ def _certificate(
         lhs=lhs,
         rhs=delta,
         gap=lhs - delta,
-        t_star=t_star,
+        t_star=float(np.min(levels)),
         domination=_domination_report(F, A, mu / lam),
         condition=condition,
     )
-
-
-def _synth_pipeline(
-    F: MaxAffineFn,
-    points: np.ndarray,
-    scores: np.ndarray,
-    delta: float,
-    condition: MidpointReport,
-    tol: ToleranceConfig,
-) -> SynthCertificate:
-    """The synthesis LP of a finite scored set: maximize the lifted level
-    over the gauge support set {mu >= 0 : sum_i mu_i * (-bshift_i) <= 1},
-    bshift = b - f(0) - 1, subject to one row per constraint point."""
-    f0 = F.value_at_origin()
-    p = F.npieces
-    coeff = _level_rows(F, points, scores, delta)
-
-    n = coeff.shape[0]
-    nv = p + 2  # mu_1..mu_p, t_plus, t_minus
-    c = np.zeros(nv)
-    c[p] = 1.0
-    c[p + 1] = -1.0
-    A_ub = np.zeros((n + 1, nv))
-    b_ub = np.zeros(n + 1)
-    A_ub[0, :p] = -(F.offsets - f0 - 1.0)
-    b_ub[0] = 1.0
-    A_ub[1:, :p] = -coeff
-    A_ub[1:, p] = 1.0
-    A_ub[1:, p + 1] = -1.0
-
-    sol = solve_lp(c, A_ub, b_ub)
-    if not sol.is_optimal:
-        raise LpError(f"synthesis LP status {sol.status}")
-    mu = sol.x[:p].copy()
-    mu[mu < 0.0] = 0.0
-    return _certificate(F, mu, points, scores, delta, float(sol.value), condition, tol)
 
 
 def synth_affine_from_scored_set(
@@ -334,36 +312,29 @@ def synth_affine_from_scored_set(
 ) -> SynthCertificate:
     """Core pipeline: affine A <= f with matching scored infima over B.
 
-    The midpoint-recession condition is checked and recorded in the
-    certificate; when it holds, the LP level reaches 1 and the two scored
-    infima agree within tolerance.
+    A finite B is scanned for the midpoint-recession condition first, and a
+    violation raises `ConditionViolated`; when it holds, the LP level
+    reaches 1 and the two scored infima agree within tolerance.
     """
     if isinstance(B, FiniteScoredSet):
-        return _synth_finite(F, B, check_scored_midpoint(F, B, tol.tol_mid), tol)
+        return _synth_finite(F, B, tol)
     return _synth_polytope(F, B.polytope, AffineTransform.identity(B.dim),
-                           AffineMap(B.score_lin, B.score_off), tol)
+                           AffineMap(B.score_lin, B.score_off))
 
 
-def _synth_finite(
-    F: MaxAffineFn,
-    B: FiniteScoredSet,
-    condition: MidpointReport,
-    tol: ToleranceConfig,
-) -> SynthCertificate:
-    """The synthesis LP over a finite scored set whose midpoint report is
-    already made; delta is the least scored value of f over B."""
-    delta = float(np.min(F.batch(B.points) + B.scores))
-    return _synth_pipeline(F, B.points, B.scores, delta, condition, tol)
-
-
-def _synth_finite_strict(F: MaxAffineFn, B: FiniteScoredSet,
-                         tol: ToleranceConfig) -> SynthCertificate:
-    """Scan a finite scored set once; raise if the condition fails, else
-    synthesize with that report."""
+def _synth_finite(F: MaxAffineFn, B: FiniteScoredSet, tol: ToleranceConfig) -> SynthCertificate:
+    """Every finite form: scan B once and raise if the condition fails, else
+    read the weights from the minimum LP over the scored points, with f's
+    offsets and the scores folded into the gains
+    G[b, i] = <a_i, b> + b_i + score_b.  delta is the least scored value of
+    f over B."""
     condition = check_scored_midpoint(F, B, tol.tol_mid)
     if not condition.satisfied:
         raise ConditionViolated(condition)
-    return _synth_finite(F, B, condition, tol)
+    pieces = B.points @ F.slopes.T + F.offsets    # f's pieces at each point
+    _, (theta,) = _min_lp([pieces + B.scores[:, None]], [np.zeros(F.npieces)])
+    delta = float(np.min(pieces.max(axis=1) + B.scores))
+    return _certificate(F, theta, B.points, B.scores, delta, condition)
 
 
 def support_at_point(F: MaxAffineFn, x) -> AffineMap:
@@ -385,9 +356,9 @@ def synth_tight_minorant(
     """
     if isinstance(Z, Polytope):
         return _synth_polytope(F, Z, AffineTransform.identity(Z.dim),
-                               AffineMap(np.zeros(Z.dim), 0.0), tol)
+                               AffineMap(np.zeros(Z.dim), 0.0))
     pts = np.vstack([as_vector(z, F.dim) for z in Z])
-    return _synth_finite_strict(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
+    return _synth_finite(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
 
 
 def _composed_polytope(
@@ -428,7 +399,6 @@ def _synth_polytope(
     Z: Polytope,
     j: AffineTransform,
     k: Union[AffineMap, MaxAffineFn],
-    tol: ToleranceConfig,
 ) -> SynthCertificate:
     """Every polytope form from one LP, the minimum delta of f o j + k over Z
     on the p*q composed pieces.  A tight minorant is the case j = identity,
@@ -437,30 +407,22 @@ def _synth_polytope(
     The LP's row duals rho_il give theta_i = sum_l rho_il on f's pieces and
     pi_l = sum_i rho_il on k's, and by LP duality
     min_v [sum_i theta_i (<a_i, j(v)> + b_i) + sum_l pi_l k_l(v)] = delta over
-    the vertices v: A = sum_i theta_i (a_i, b_i) <= f is tight.  The gauge
-    weights mu = theta / (theta . (f(0) + 1 - b)) make the gauge row tight,
-    so lam = sum mu lies in (0, 1], and t_star is the lifted level that mu,
-    with pi scaled alike, reaches over the vertex rows.  With q >= 2
+    the vertices v: A = sum_i theta_i (a_i, b_i) <= f is tight.  With q >= 2
     pieces, A o j + k may be least inside Z, so lhs is the LP minimum over Z
     on its q pieces."""
     pts, K = _composed_polytope(Z, j, k, F.dim)
     V = Z.vertices
     # Piece by piece, so an affine k gives exactly k.batch(V).
     KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
-    _, delta, rho = _min_lp(_compose(F.slopes, F.offsets, j, K), V)
+    _, delta, rho = _polytope_min(_compose(F.slopes, F.offsets, j, K), V)
     rho = rho.reshape(F.npieces, K.npieces)
-    theta = rho.sum(axis=1)
-    scale = 1.0 / (theta @ (F.value_at_origin() + 1.0 - F.offsets))
-    mu = scale * theta
     # The payload's share of a row beyond k_1(v), which the level rows hold.
-    levels = (_level_rows(F, pts, KV[:, 0], delta) @ mu
-              + (KV[:, 1:] - KV[:, :1]) @ (scale * rho.sum(axis=0)[1:]))
-    cert = _certificate(F, mu, pts, KV[:, 0], delta, float(np.min(levels)),
-                        _auto_report(), tol)
+    cert = _certificate(F, rho.sum(axis=1), pts, KV[:, 0], delta, _auto_report(),
+                        (KV[:, 1:] - KV[:, :1], rho.sum(axis=0)[1:]))
     if K.npieces == 1:
         return cert
     A = cert.affine
-    _, lhs, _ = _min_lp(_compose(A.w[None], np.array([A.c]), j, K), V)
+    _, lhs, _ = _polytope_min(_compose(A.w[None], np.array([A.c]), j, K), V)
     return dataclasses.replace(cert, lhs=lhs, gap=lhs - delta)
 
 
@@ -479,9 +441,9 @@ def synth_composed_minorant(
     `_synth_polytope`).
     """
     if isinstance(Z, Polytope):
-        return _synth_polytope(F, Z, j, k, tol)
+        return _synth_polytope(F, Z, j, k)
     j_table = np.asarray(j, dtype=np.float64)
     if j_table.ndim != 2 or j_table.shape[1] != F.dim:
         raise DimensionMismatch(f"the j table has shape {j_table.shape} but f is {F.dim}-d")
     k_table = np.asarray(k, dtype=np.float64).reshape(-1)
-    return _synth_finite_strict(F, FiniteScoredSet(j_table, k_table), tol)
+    return _synth_finite(F, FiniteScoredSet(j_table, k_table), tol)

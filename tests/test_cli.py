@@ -295,6 +295,18 @@ class TestRegressions:
         assert cert["midpoint"]["violation"] is None
         assert cert["gap"] == 0.0
 
+    def test_violated_affine_points_report_the_witness(self, tmp_path, capsys):
+        # Its hypothesis fails, so the report names the violated pair,
+        # whatever an LP on the set would give.
+        text = doc("synth-affine", {
+            "f": {"pieces": [{"a": [-370.0], "b": -40.0}, {"a": [270.0], "b": 40.0}]},
+            "b": {"points": [[-70.0], [-60.0], [150.0]], "scores": [20.0, 140.0, 10.0]},
+        })
+        code, rep = self._run(tmp_path, capsys, text, "synth-affine")
+        assert code == EXIT_HYPOTHESIS and rep["status"] == "hypothesis-violated"
+        assert rep["certificate"]["error"] == "condition-violated"
+        assert rep["certificate"]["condition"]["violation"] == {"pair": [0, 2], "value": 29695.0}
+
     def test_low_score_synth_affine_is_finite(self, tmp_path, capsys):
         code, rep = self._run(tmp_path, capsys, self.LOW_SCORE_DOC, "synth-affine")
         assert code == EXIT_OK
@@ -364,6 +376,23 @@ class TestToleranceExitCodes:
         code, rep = self._run(tmp_path, capsys, text, "synth-sun")
         assert rep["certificate"]["gap"] == 0.0
         assert code == EXIT_OK
+
+    def test_lambda_against_lambda_min(self, tmp_path, capsys):
+        # A satisfied finite synthesis whose vertical multiplier is about
+        # 0.495: lambda_min just above it exits 2 with the full certificate,
+        # just below it exits 0.
+        kind, text, _ = _golden_documents()["cahbl-finite"]
+        payload = json.loads(text)["payload"]
+        code, rep = self._run(tmp_path, capsys, text, kind)
+        lam = rep["certificate"]["lifted"]["lam"]
+        assert code == EXIT_OK and 0.0 < lam < 1.0
+        runs = []
+        for lambda_min in (math.nextafter(lam, math.inf), math.nextafter(lam, 0.0)):
+            text = doc(kind, payload, tolerances={"lambda_min": lambda_min})
+            runs.append(self._run(tmp_path, capsys, text, kind))
+        assert [code for code, _ in runs] == [EXIT_NUMERICAL, EXIT_OK]
+        assert runs[0][1]["status"] == "numerical-failure"
+        assert runs[0][1]["certificate"] == runs[1][1]["certificate"] == rep["certificate"]
 
     def test_mok_gap_against_tol_lp(self, tmp_path, capsys):
         from minorant.harness import gen_mok_satisfied
@@ -806,10 +835,10 @@ def _edge_payload(kind, seed):
 
 # SHA-256 of each golden report, and its exit code.
 GOLDEN = {
-    "affine-points": ("aaddad1a84d1d85c5cf9dfdb4a7f37520b4f186da50eaea63be55c89968a43e4", 0),
-    "affine-points-violated": ("4915e33da4d0ec8cbe25907c5a5e52dec99eb63956a170aaa841bdad271f77b4", 1),
+    "affine-points": ("4ab469c809a7a46729f7959ff499e5ea5321cd03734250406aa347e659d9afc3", 0),
+    "affine-points-violated": ("ec2fb628646f8154edcc97b39fd8a6ec46d3340177740146e7618a256c8efa09", 1),
     "affine-polytope": ("15c1eb32556aca8225e9dfeb2f1290e44f4927f0454e76040ba67196ce6a5661", 0),
-    "cahbl-finite": ("268f2476375a467391f9bf5d2c082ac02d9c110c068c9744a2caa6a2e713e236", 0),
+    "cahbl-finite": ("5ea32137f97834a965a5946ebfbf0ea9b2af16afcf3e681311906906da485540", 0),
     "cahbl-polytope-affine": ("3bfa139e20b0b3ffc8fd17f85f2872a401bd3e2fc59aa4f575bde651a87401f6", 0),
     "cahbl-polytope-max-affine": ("86a0c02cec6e3aaaef2a36cc2f800e386ebb59dacff166fa14663e1a82446fde", 0),
     "cahbl-polytope-max-affine-ok": ("efa54078737af22bb02679fa00a04b824a4773e1228f1f25b8656b9a91f1f683", 0),
@@ -820,18 +849,18 @@ GOLDEN = {
     "gen-polytope": ("abc1e9545eb596abf992cf1b439f44d0e55a97505a79752ed3619a36d0c96442", 0),
     "gen-scored-set": ("5bb66bedb817b7738cae895b25e52eb06a1892e58437217b8457cef1055f9f83", 0),
     "hbl-finite": ("a1f2ccb82287f51906529933c8921d44e9da62552796c2cdc7cfd15f882bddad", 0),
-    "hbl-finite-violated": ("6550e2a1ae712334a74883c4f0f96307543a62b3d198bc585098c034cef21b9a", 1),
+    "hbl-finite-violated": ("4f4e0eb2f1211ed92a8fd7be66f3ee3d774adbab02bf56db25741eb57b2036cd", 1),
     "hbl-polytope-affine": ("036003c85815da33abcc70524d4bb25ec6aedf32c50280102220c1c3cc9c3315", 0),
     "hbl-polytope-max-affine": ("7b97edf37f584132a06a1a3128c3b70d9a375739d58cfe5c1e8291027e531930", 0),
-    "hbl-product": ("c73a584d865a2049cfefc1487b47405fd54d4125511d29c16e5c92c004da7911", 0),
-    "hbl-product-payload": ("a4f691d6e305ed44f74146ab00e9f97715765223428d9589e8634648f0eb2abf", 0),
-    "mok-satisfied": ("1b3527de1bf7eeb0b13d34545cd139b3fb6ecd48d143f61057c69aee6c5b857f", 0),
-    "mok-violated": ("6d65ef988d540c35c1646202711b02a0be97be6e355e5ef83babc95d360d92d2", 1),
+    "hbl-product": ("81de937da29dcdede27846b57694b5bb810c8b95926f2d8bdebb18ba3c4dd5c2", 0),
+    "hbl-product-payload": ("78e5ecaa8e5419a0b46b3684cdce8b1fa20d683d82c2577ac86ad4ccac0ccaa8", 0),
+    "mok-satisfied": ("0d1fce2ed28233352887c245046c685788f749051b80aa4c3200fff43abb0627", 0),
+    "mok-violated": ("713d2a1e43b5f02675d687033efe44464271c0fa256b76f8cf70f1ed57b47020", 1),
     "sun-points": ("28fd6ac81d7825ba87309f116e76791d68f185d2a6da61364e83a3715a4bacba", 0),
     "sun-vertices": ("1e58ec091e3a0fe7776f36f2a686b14ed5f6b10925cfdaaf2f43bf89c5231452", 0),
-    "tol-gap-flag": ("8fba0d5984c0d7ebd13042a05228067320e3340b29e6f55b322959b7794b8ac5", 0),
+    "tol-gap-flag": ("91acc8297cfa25ff30503bda9b029306809ea96933994aac60c14d9a2b1a1258", 0),
     "tolerances": ("960a5999bf69dcc3acd180368a2c7dcf3c5e72a80b2784aed8de7953c7efb133", 0),
-    "verify": ("12d4d1730a48140c1c855ed7a1d602207e47ced05f06dae021fbeed510229a8a", 0),
+    "verify": ("af983c0ac48e20900e8a27ee11a8469984c127f623c1c6c6bc9dd8b4f2efbef0", 0),
 }
 
 
@@ -1152,8 +1181,11 @@ class TestWorkBudget:
         monkeypatch.setattr(lp, "_simplex_core", core)
         for module in (mok, synth, hbl):
             monkeypatch.setattr(module, "midpoint_scan", scan)
-        for module in (synth, hbl):
-            monkeypatch.setattr(module, "solve_lp", solve)
+        monkeypatch.setattr(synth, "solve_lp", solve)
         kind, text, flags = _golden_documents()[name]
-        run_problem_text(text)
-        assert estimated == [(built["scan"], built["cells"])]
+        report, _ = run_problem_text(text)
+        if json.loads(report)["certificate"].get("error") == "condition-violated":
+            # A finite synthesis whose scan fails stops before its LP.
+            assert [scan for scan, _ in estimated] == [built["scan"]] and built["cells"] == 0
+        else:
+            assert estimated == [(built["scan"], built["cells"])]

@@ -1,20 +1,23 @@
 """Both composed polytope forms are exact: a seeded corpus of segments and
 polygons with payloads of one to three pieces, checked against scipy's
 polytope minimum, the barycentric grid oracle and the sampled domination
-oracle."""
+oracle.  Every form, finite or polytope, solves the one minimum LP."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import minorant.hbl as hbl_mod
 import minorant.synth as synth_mod
 from minorant.core import AffineMap, AffineTransform, MaxAffineFn, PolyhedralSublinear, Polytope
-from minorant.harness import SplitMix64, domination_oracle, grid_min_oracle
-from minorant.hbl import solve_hbl_jk
+from minorant.harness import (
+    SplitMix64, domination_oracle, gen_line_constrained_set, grid_min_oracle,
+)
+from minorant.hbl import HblInstance, solve_hbl_jk, solve_hbl_n
+from minorant.mok import solve_mok
 from minorant.synth import (
-    LiftedPolytope, synth_affine_from_scored_set, synth_composed_minorant, synth_tight_minorant,
+    FiniteScoredSet, LiftedPolytope, synth_affine_from_scored_set, synth_composed_minorant,
+    synth_tight_minorant,
 )
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -110,21 +113,31 @@ def test_hbl_polytope_is_exact(t, V, j, k, payload):
     assert np.array_equal(cert.maps[0].w, S.pieces.T @ theta)
 
 
-def test_one_lp_per_polytope_form(monkeypatch):
+@pytest.fixture
+def lp_rows(monkeypatch):
+    """The row count of every LP that `synth._min_lp`, the one LP builder,
+    solves."""
+    rows = []
+
+    def counting(c, A_ub, b_ub, A_eq, b_eq, real=synth_mod.solve_lp):
+        rows.append(len(b_ub) + len(b_eq))
+        return real(c, A_ub, b_ub, A_eq, b_eq)
+
+    monkeypatch.setattr(synth_mod, "solve_lp", counting)
+    return rows
+
+
+def _solved_rows(rows, solve, *args):
+    rows.clear()
+    solve(*args)
+    return list(rows)
+
+
+def test_one_lp_per_polytope_form(lp_rows):
     # The weights are the row duals of the minimum LP: one LP per form, and
     # a second one, for lhs, only when the payload has q >= 2 pieces.
-    calls = []
-    for module in (synth_mod, hbl_mod):
-        def counting(*args, real=module.solve_lp):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(module, "solve_lp", counting)
-
     def count(solve, *args):
-        calls.clear()
-        solve(*args)
-        return len(calls)
+        return len(_solved_rows(lp_rows, solve, *args))
 
     for t, V, j, k, payload in CORPUS:
         rng = SplitMix64(9400 + t)
@@ -138,6 +151,28 @@ def test_one_lp_per_polytope_form(monkeypatch):
         assert count(synth_tight_minorant, G, Z) == 1
         B = LiftedPolytope(Z, rng.uniform_vector(Z.dim, -2.0, 2.0), 0.5)
         assert count(synth_affine_from_scored_set, G, B) == 1
+
+
+@pytest.mark.parametrize("keys", [1, 4, 40])
+def test_one_lp_per_finite_form(lp_rows, keys):
+    # Every finite form solves the same minimum LP: one row per piece of
+    # all spaces and the simplex row, whatever the number of keys.
+    rng = SplitMix64(9500 + keys)
+    F, Z = gen_line_constrained_set(9500 + keys, d=3, p=5, npts=keys)
+    pts, scores = np.vstack(Z), rng.uniform_vector(keys, -2.0, 2.0)
+    S = PolyhedralSublinear(F.slopes)
+    subs = [PolyhedralSublinear(rng.uniform_matrix(p, d, -2.0, 2.0)) for p, d in ((3, 2), (4, 3))]
+    tables = [rng.uniform_matrix(keys, S_m.dim, -2.0, 2.0) for S_m in subs]
+    for rows, solve, args in (
+        (F.npieces + 1, synth_tight_minorant, (F, Z)),
+        (F.npieces + 1, synth_affine_from_scored_set, (F, FiniteScoredSet(pts, scores))),
+        (F.npieces + 1, synth_composed_minorant, (F, pts, scores, None)),
+        (S.npieces + 1, solve_mok, (S, Z)),
+        (S.npieces + 1, solve_hbl_jk, (S, pts, scores)),
+        (3 + 4 + 1, solve_hbl_n, (HblInstance(subs, tables),)),
+        (3 + 4 + 1, solve_hbl_n, (HblInstance(subs, tables, scores),)),
+    ):
+        assert _solved_rows(lp_rows, solve, *args) == [rows]
 
 
 def test_synthesis_memory_stays_near_the_minimum_lp():

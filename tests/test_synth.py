@@ -13,6 +13,7 @@ from minorant.core import (
 )
 from minorant.gauge import eval_gauge, shift
 from minorant.harness import gen_line_constrained_set
+from minorant.lp import solve_lp
 from minorant.synth import (
     ConditionViolated,
     _domination_report,
@@ -180,6 +181,49 @@ class TestSynthPipeline:
             assert cert.t_star >= 1.0 - 1e-8
             assert cert.lifted.lam > 1e-12
             assert cert.domination.worst_deficit >= -1e-7
+
+
+def gauge_lp_level(F, points, scores, delta):
+    """The optimum of the gauge-row synthesis LP, an oracle for t_star: the
+    largest t over mu >= 0 with gauge_row(F) @ mu <= 1 and the lifted level
+    sum_i mu_i (<a_i, b> - eta_b) >= t at every constraint point b,
+    eta_b = delta - score_b - f(0) - 1."""
+    eta = delta - scores - F.value_at_origin() - 1.0
+    coeff = points @ F.slopes.T - eta[:, None]
+    n, p = coeff.shape
+    c = np.zeros(p + 2)  # mu_1..mu_p, t_plus, t_minus
+    c[p], c[p + 1] = 1.0, -1.0
+    A_ub = np.zeros((n + 1, p + 2))
+    b_ub = np.zeros(n + 1)
+    A_ub[0, :p] = gauge_row(F)
+    b_ub[0] = 1.0
+    A_ub[1:, :p] = -coeff
+    A_ub[1:, p] = 1.0
+    A_ub[1:, p + 1] = -1.0
+    sol = solve_lp(c, A_ub, b_ub)
+    assert sol.is_optimal
+    return sol.value
+
+
+class TestGaugeLpOracle:
+    """On satisfied finite sets the weights read from the minimum LP reach
+    the gauge-row LP's optimum level, and their lift makes the gauge row
+    tight."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_t_star_is_the_gauge_lp_optimum(self, seed):
+        rng = np.random.default_rng(seed)
+        F, Z = gen_line_constrained_set(seed, d=1 + seed % 3, p=2 + seed % 5,
+                                        npts=1 + seed % 7 * 4)
+        pts = np.vstack(Z)
+        # Points on a line along which f is constant satisfy the condition
+        # whatever their scores.
+        scores = rng.uniform(-2.0, 2.0, len(pts)) if seed % 2 else np.zeros(len(pts))
+        cert = synth_affine_from_scored_set(F, FiniteScoredSet(pts, scores))
+        assert cert.condition.satisfied
+        assert abs(cert.t_star - gauge_lp_level(F, pts, scores, cert.delta)) <= 1e-9
+        assert abs(gauge_row(F) @ cert.weights - 1.0) <= 1e-12
+        assert abs(cert.gap) <= 1e-12
 
 
 def _exact_cases():
@@ -373,8 +417,9 @@ class TestSingleScan:
         assert scans == [2]
 
     def test_affine_from_scored_set(self, abs_fn, scans):
-        synth_affine_from_scored_set(
-            abs_fn, FiniteScoredSet(np.array([[1.0], [2.0]]), np.zeros(2)))
+        with pytest.raises(ConditionViolated):
+            synth_affine_from_scored_set(
+                abs_fn, FiniteScoredSet(np.array([[1.0], [2.0]]), np.zeros(2)))
         assert scans == [2]
 
     def test_polytope_scans_nothing(self, abs_fn, scans):
