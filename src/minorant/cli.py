@@ -12,7 +12,7 @@ Exit codes are part of the contract:
 
 Every form takes its weights from one LP: the minimum of a max-affine
 function over the convex hull of the keys (the scored points, the table
-rows or the polytope's vertices), whose row duals are the certificate's
+rows or the polytope's vertices), whose dual solution is the certificate's
 weights (LP duality).  Over a polytope it is exact on the composed pieces of
 f o j + k.
 
@@ -201,13 +201,21 @@ def _check_work(path: str, keys: int, pieces: int, *lps: Tuple[int, int, int]) -
                           f"exceeds the cap {MAX_TABLEAU_CELLS}")
 
 
-def _min_lp_shape(pieces: int, keys: int, spaces: int = 1) -> Tuple[int, int, int]:
-    """The shape of `synth._min_lp`, the one LP of every form: one row per
-    piece of all spaces and the simplex row; the keys' weights and two level
-    variables per space.  A polytope form has the p*q composed pieces over
-    the vertices; the LP for the minimum of A o j + k has q pieces, so it is
-    never the larger."""
-    return (pieces, 1, keys + 2 * spaces)
+def _min_lp_shape(pieces: int, keys: int, spaces: int = 1,
+                  piece_rows: Optional[bool] = None) -> Tuple[int, int, int]:
+    """The shape of `synth._min_lp`, the one LP of every form, on its piece
+    side (one row per piece of all spaces and the simplex row, over the
+    keys' weights and two level variables per space) or its key side (one
+    row per key and one simplex row per space, over the pieces' weights and
+    the level), by default whichever has fewer rows.  A polytope form stays
+    on the piece side, with the p*q composed pieces over the vertices; the
+    LP for the minimum of A o j + k has q pieces, so it is never the
+    larger."""
+    if piece_rows is None:
+        piece_rows = pieces + 1 <= keys + spaces
+    if piece_rows:
+        return (pieces, 1, keys + 2 * spaces)
+    return (keys, spaces, pieces + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +252,7 @@ def _build_synth_affine(payload: dict, path: str) -> tuple:
     V = _matrix(bb["vertices"], f"{path}.b.vertices", F.dim)
     lin = _num_list(bb["score_lin"], f"{path}.b.score_lin", F.dim)
     off = _number(bb["score_off"], f"{path}.b.score_off")
-    _check_work(f"{path}.b.vertices", 0, 0, _min_lp_shape(F.npieces, len(V)))
+    _check_work(f"{path}.b.vertices", 0, 0, _min_lp_shape(F.npieces, len(V), piece_rows=True))
     return F, LiftedPolytope(Polytope(np.asarray(V)), np.asarray(lin), off)
 
 
@@ -259,7 +267,7 @@ def _build_synth_sun(payload: dict, path: str) -> tuple:
         return F, np.asarray(pts)
     zz = _take(z, f"{path}.z", {"vertices": True})
     V = _matrix(zz["vertices"], f"{path}.z.vertices", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, _min_lp_shape(F.npieces, len(V)))
+    _check_work(f"{path}.z.vertices", 0, 0, _min_lp_shape(F.npieces, len(V), piece_rows=True))
     return F, Polytope(np.asarray(V))
 
 
@@ -275,7 +283,8 @@ def _build_synth_cahbl(payload: dict, path: str) -> tuple:
         return F, np.asarray(jt), np.asarray(kt), None
     zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
     Z, j, k, q = _parse_composed(zz, f"{path}.z", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, _min_lp_shape(F.npieces * q, Z.nvertices))
+    _check_work(f"{path}.z.vertices", 0, 0,
+                _min_lp_shape(F.npieces * q, Z.nvertices, piece_rows=True))
     return F, j, k, Z
 
 
@@ -311,7 +320,8 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
         obj = _take(payload, path, {"s": True, "vertices": True, "j": True, "k": True})
         S = _parse_sublinear(obj["s"], f"{path}.s")
         Z, j, k, q = _parse_composed(obj, path, S.dim)
-        _check_work(f"{path}.vertices", 0, 0, _min_lp_shape(S.npieces * q, Z.nvertices))
+        _check_work(f"{path}.vertices", 0, 0,
+                    _min_lp_shape(S.npieces * q, Z.nvertices, piece_rows=True))
         return S, j, k, Z
     obj = _take(payload, path, {"s": True, "j": True, "k": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")

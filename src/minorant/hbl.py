@@ -7,10 +7,11 @@ dominated by the summed sublinear functional exactly when each component is
 dominated by its own, so the weights are one simplex per space, and the
 expanded product piece set is only used in tests at tiny sizes.
 
-Every form reads its weights from the row duals of `synth._min_lp`, the
-minimum over the keys' simplex of sum_m S_m(sum_z nu_z j_m(z)) plus the
-payload: one space per sublinear, one row per piece, whatever the number of
-keys.  A payload k is folded into the first space's gains.
+Every form reads its weights from `synth._min_lp`, the minimum over the
+keys' simplex of sum_m S_m(sum_z nu_z j_m(z)) plus the payload, with one
+space per sublinear.  It is built with one row per piece or one row per
+key, whichever is fewer.  A payload k is folded into the first space's
+gains.
 
 The scalar-payload form (one sublinear S plus a payload k) is the two-space
 case.  Over a finite key set the second space is the reals with the
@@ -18,7 +19,7 @@ identity functional; its support set is the single weight 1, so k is the
 payload of the one-space LP and the identity comes out structurally, with
 no tolerance.  Over a polytope the second space carries the homogenized
 payload pieces, and the weights of both spaces are the row duals of the
-one LP that minimizes S o j + k over the polytope.  One space with no
+one LP, on its piece side, that minimizes S o j + k over the polytope.  One space with no
 payload is `minorant.mok.solve_mok`.
 """
 
@@ -136,7 +137,7 @@ def _solve_product(
     gains = [tab @ S.pieces.T for S, tab in zip(inst.sublinears, inst.tables)]
     if inst.payload is not None:
         gains[0] = gains[0] + inst.payload[:, None]
-    _, weights = _min_lp(gains, [np.zeros(G.shape[1]) for G in gains])
+    _, weights = _min_lp(gains)
 
     maps: List[LinearMap] = []
     # No zero payload is added when there is none: 0.0 + -0.0 is 0.0.

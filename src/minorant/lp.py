@@ -8,9 +8,9 @@ lowest-index basic variable leaves on ratio ties.  After
 `_DEGENERATE_LIMIT` consecutive degenerate pivots the phase switches to
 Bland's rule (lowest eligible index enters) for good, so it cannot cycle.
 
-Problem sizes here are modest: one row per piece, tens on the benchmark,
-and one column per key, a point or a vertex (up to a few hundred on the
-benchmark), so a dense tableau is the right tool.
+Problem sizes here are modest: one row per piece (tens on the benchmark)
+or per key, whichever is fewer, and one column per key or per piece (up to
+a few hundred on the benchmark), so a dense tableau is the right tool.
 
 Tableau layout: the variables, one slack per inequality row, one artificial
 per row that needs one (an equality row or a row with a negative right-hand

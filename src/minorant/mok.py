@@ -4,7 +4,7 @@ functionals over finite sets.
 The set of linear maps dominated by S(x) = max_i <l_i, x> is exactly the
 convex hull of the rows l_i, so "find L <= S maximizing inf_D L" is a max
 over simplex weights of a min over D.  By LP duality it is the minimum of S
-over the convex hull of D, and the weights are that LP's row duals.  The
+over the convex hull of D, and the weights are that LP's dual solution.  The
 theorem's midpoint hypothesis is checked (not assumed); when it holds, the
 optimal value must close the gap to inf_D S, and the certificate records
 both sides so an independent checker can confirm it.
@@ -73,8 +73,9 @@ def solve_mok(
     """Maximize inf_D L over linear L dominated by S.
 
     This is the one-space case of `minorant.hbl`'s product form: the
-    minimum of S(sum_d nu_d d) over nu on the simplex, one row per piece of
-    S, whose row duals theta are the weights of L = sum_i theta_i l_i.
+    minimum of S(sum_d nu_d d) over nu on the simplex, whose dual solution
+    theta, on the simplex of S's pieces, gives the weights of
+    L = sum_i theta_i l_i.
     """
     midpoint = check_midpoint(S, D, tol.tol_mid)
     cert = _solve_product(HblInstance([S], [_as_point_rows(D, S.dim)]), tol, midpoint)

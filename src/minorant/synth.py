@@ -17,7 +17,7 @@ The mechanism: every affine A <= f lies below a convex combination
 sum_i theta_i (a_i, b_i) of f's pieces, so the best scored infimum of A is a
 max over theta on the simplex of a min over B.  By LP duality it is the
 minimum, over the convex hull of B's keys, of a max-affine function, which
-`_min_lp` computes; its row duals are theta.  Over a finite set the keys are
+`_min_lp` computes with theta, its LP dual solution.  Over a finite set the keys are
 the scored points, with f's offsets and the scores in the gains; over a
 polytope they are the vertices, on the pieces of f o j + k.  The gauge
 weights mu = theta / (theta . (f(0) + 1 - b)) give the lifted map
@@ -190,48 +190,67 @@ def check_scored_midpoint(
     return midpoint_scan([B.points @ F.slopes.T], B.scores, tol)
 
 
-def _min_lp(gains: Sequence[np.ndarray],
-            offsets: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
+def _min_lp(gains: Sequence[np.ndarray], offsets: Optional[np.ndarray] = None,
+            piece_rows: Optional[bool] = None) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The one LP of every form: the minimum over nu on the keys' simplex of
-    sum_m max_i ((G_m^T nu)_i + c_mi), for one (keys, pieces) gain table G_m
-    and one offset vector c_m per space.  Returns nu and each space's row
-    duals rho_m.
+    sum_m max_i ((G_m^T nu)_i + c_i), for one (keys, pieces) gain table G_m
+    per space and the offsets c of all pieces (zero by default).  Returns
+    nu and each space's weights rho_m on the simplex of its pieces.
 
-    Each space has a free level t_m = t_m+ - t_m- and one row
-    G_m^T nu - t_m <= -c_m per piece; only the simplex row needs an
-    artificial column when every c_m >= 0.  By LP duality each rho_m >= 0
-    sums to 1 and the least key value of sum_m sum_i rho_mi (G_m + c_m)_i is
-    the same minimum: rho are the weights of every certificate."""
+    It is built on its piece side or its key side, by default whichever has
+    fewer rows.  On the piece side each space has a free level
+    t_m = t_m+ - t_m- and one row G_m^T nu - t_m <= -c_i per piece; nu is
+    the solution and rho the row duals, and only the simplex row needs an
+    artificial column when c >= 0.  The key side is its LP dual: each space's
+    gains are shifted by their least entry, which moves the minimum by a
+    constant since the weights sum to 1, so a level s >= 0 meets one row
+    s - sum_m (G_m rho_m)_key <= 0 per key, and each space's weights sum to
+    1 in an equality row; rho is the solution, nu the key rows' duals, and
+    the objective c . rho + s.  By LP duality both give the same minimum:
+    the least key value of sum_m sum_i rho_mi (G_m + c)_i."""
     k = gains[0].shape[0]
-    nv = k + 2 * len(gains)
-    c = np.zeros(nv)
-    c[k::2] = -1.0
-    c[k + 1::2] = 1.0
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :k] = 1.0
-    A_ub = np.zeros((sum(G.shape[1] for G in gains), nv))
-    spaces, start = [], 0             # each space's rows
-    for m, G in enumerate(gains):
-        rows = slice(start, start + G.shape[1])
-        A_ub[rows, :k] = G.T
-        A_ub[rows, k + 2 * m] = -1.0
-        A_ub[rows, k + 2 * m + 1] = 1.0
-        spaces.append(rows)
-        start = rows.stop
-
-    sol = solve_lp(c, A_ub, -np.concatenate(offsets), A_eq, np.array([1.0]))
+    sizes = [G.shape[1] for G in gains]
+    npieces = sum(sizes)
+    if offsets is None:
+        offsets = np.zeros(npieces)
+    spaces = np.split(np.arange(npieces), np.cumsum(sizes)[:-1])
+    if piece_rows is None:
+        piece_rows = npieces + 1 <= k + len(gains)
+    if piece_rows:
+        nv = k + 2 * len(gains)
+        c = np.zeros(nv)
+        c[k::2] = -1.0
+        c[k + 1::2] = 1.0
+        A_eq = np.zeros((1, nv))
+        A_eq[0, :k] = 1.0
+        A_ub = np.zeros((npieces, nv))
+        for m, (G, rows) in enumerate(zip(gains, spaces)):
+            A_ub[rows, :k] = G.T
+            A_ub[rows, k + 2 * m] = -1.0
+            A_ub[rows, k + 2 * m + 1] = 1.0
+        sol = solve_lp(c, A_ub, -offsets, A_eq, np.array([1.0]))
+    else:
+        A_ub = np.ones((k, npieces + 1))
+        A_eq = np.zeros((len(gains), npieces + 1))
+        for m, (G, rows) in enumerate(zip(gains, spaces)):
+            A_ub[:, rows] = G.min() - G
+            A_eq[m, rows] = 1.0
+        sol = solve_lp(np.append(offsets, 1.0), A_ub, np.zeros(k), A_eq, np.ones(len(gains)))
     if not sol.is_optimal:
         raise LpError(f"minimum LP status {sol.status}")
-    rho = sol.duals[:A_ub.shape[0]].copy()
-    rho[rho < 0.0] = 0.0
-    return sol.x[:k], [rho[rows] for rows in spaces]
+    duals = sol.duals[:npieces if piece_rows else k]
+    duals = np.where(duals < 0.0, 0.0, duals)
+    nu, rho = (sol.x[:k], duals) if piece_rows else (duals, sol.x[:npieces])
+    return nu, [rho[rows] for rows in spaces]
 
 
 def _polytope_min(F: MaxAffineFn, V: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
     """The minimizer of a max-affine function over conv(V), f's value there
     and the row duals of f's pieces: the minimum LP with the vertices as
-    keys, one space and f's offsets."""
-    nu, (rho,) = _min_lp([V @ F.slopes.T], [F.offsets])
+    keys, one space and f's offsets.  It stays on the piece side, whatever
+    the vertex count, so the minimizer V^T nu is the LP's solution rather
+    than a row dual."""
+    nu, (rho,) = _min_lp([V @ F.slopes.T], F.offsets, piece_rows=True)
     x_star = V.T @ nu
     return x_star, float(F(x_star)), rho
 
@@ -272,7 +291,7 @@ def _certificate(
     payload: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> SynthCertificate:
     """The certificate of weights theta on the simplex of f's pieces, the
-    row duals of the minimum LP.
+    dual solution of the minimum LP.
 
     The gauge weights mu = theta / (theta . (f(0) + 1 - b)) make the gauge
     row tight, so lam = sum mu lies in (0, 1]; the lifted map is
@@ -332,7 +351,7 @@ def _synth_finite(F: MaxAffineFn, B: FiniteScoredSet, tol: ToleranceConfig) -> S
     if not condition.satisfied:
         raise ConditionViolated(condition)
     pieces = B.points @ F.slopes.T + F.offsets    # f's pieces at each point
-    _, (theta,) = _min_lp([pieces + B.scores[:, None]], [np.zeros(F.npieces)])
+    _, (theta,) = _min_lp([pieces + B.scores[:, None]])
     delta = float(np.min(pieces.max(axis=1) + B.scores))
     return _certificate(F, theta, B.points, B.scores, delta, condition)
 

@@ -153,24 +153,28 @@ def test_one_lp_per_polytope_form(lp_rows):
         assert count(synth_affine_from_scored_set, G, B) == 1
 
 
-@pytest.mark.parametrize("keys", [1, 4, 40])
+@pytest.mark.parametrize("keys", [1, 4, 6, 40])
 def test_one_lp_per_finite_form(lp_rows, keys):
-    # Every finite form solves the same minimum LP: one row per piece of
-    # all spaces and the simplex row, whatever the number of keys.
+    # Every finite form solves the same minimum LP, on its side with fewer
+    # rows: one row per piece of all spaces and the simplex row, or one row
+    # per key and one simplex row per space.  With 5 pieces and one space,
+    # 1 and 4 keys take the key side, 6 and 40 the piece side; with 3 + 4
+    # pieces in two spaces, only 40 keys take the piece side.
     rng = SplitMix64(9500 + keys)
     F, Z = gen_line_constrained_set(9500 + keys, d=3, p=5, npts=keys)
     pts, scores = np.vstack(Z), rng.uniform_vector(keys, -2.0, 2.0)
     S = PolyhedralSublinear(F.slopes)
     subs = [PolyhedralSublinear(rng.uniform_matrix(p, d, -2.0, 2.0)) for p, d in ((3, 2), (4, 3))]
     tables = [rng.uniform_matrix(keys, S_m.dim, -2.0, 2.0) for S_m in subs]
+    one, two = min(5 + 1, keys + 1), min(3 + 4 + 1, keys + 2)
     for rows, solve, args in (
-        (F.npieces + 1, synth_tight_minorant, (F, Z)),
-        (F.npieces + 1, synth_affine_from_scored_set, (F, FiniteScoredSet(pts, scores))),
-        (F.npieces + 1, synth_composed_minorant, (F, pts, scores, None)),
-        (S.npieces + 1, solve_mok, (S, Z)),
-        (S.npieces + 1, solve_hbl_jk, (S, pts, scores)),
-        (3 + 4 + 1, solve_hbl_n, (HblInstance(subs, tables),)),
-        (3 + 4 + 1, solve_hbl_n, (HblInstance(subs, tables, scores),)),
+        (one, synth_tight_minorant, (F, Z)),
+        (one, synth_affine_from_scored_set, (F, FiniteScoredSet(pts, scores))),
+        (one, synth_composed_minorant, (F, pts, scores, None)),
+        (one, solve_mok, (S, Z)),
+        (one, solve_hbl_jk, (S, pts, scores)),
+        (two, solve_hbl_n, (HblInstance(subs, tables),)),
+        (two, solve_hbl_n, (HblInstance(subs, tables, scores),)),
     ):
         assert _solved_rows(lp_rows, solve, *args) == [rows]
 

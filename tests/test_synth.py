@@ -17,6 +17,7 @@ from minorant.lp import solve_lp
 from minorant.synth import (
     ConditionViolated,
     _domination_report,
+    _min_lp,
     FiniteScoredSet,
     LiftedPolytope,
     check_scored_midpoint,
@@ -224,6 +225,28 @@ class TestGaugeLpOracle:
         assert abs(cert.t_star - gauge_lp_level(F, pts, scores, cert.delta)) <= 1e-9
         assert abs(gauge_row(F) @ cert.weights - 1.0) <= 1e-12
         assert abs(cert.gap) <= 1e-12
+
+
+@pytest.mark.parametrize("keys, sizes", [
+    (2, (6,)), (6, (5,)), (9, (3,)), (3, (2, 4)), (5, (2, 4)), (12, (2, 4)),
+])
+def test_min_lp_sides_meet(keys, sizes):
+    # Few keys take the key side, many the piece side (6 keys against 5
+    # pieces, and 5 against 2 + 4, are ties, kept on the piece side).
+    # Either way nu and every rho_m lie on their simplices, and the value
+    # of nu meets the least key value of rho: weak duality makes both
+    # optimal.
+    rng = np.random.default_rng(keys * 10 + len(sizes))
+    gains = [rng.uniform(-2.0, 2.0, (keys, p)) for p in sizes]
+    offsets = rng.uniform(-1.0, 1.0, sum(sizes))
+    nu, rho = _min_lp(gains, offsets)
+    parts = np.split(offsets, np.cumsum(sizes)[:-1])
+    assert np.all(nu >= 0.0) and abs(nu.sum() - 1.0) <= 1e-12
+    for r in rho:
+        assert np.all(r >= 0.0) and abs(r.sum() - 1.0) <= 1e-12
+    value = sum(float(np.max(G.T @ nu + c)) for G, c in zip(gains, parts))
+    level = float(np.min(sum((G + c) @ r for G, c, r in zip(gains, parts, rho))))
+    assert abs(value - level) <= 1e-12
 
 
 def _exact_cases():
