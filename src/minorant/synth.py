@@ -28,6 +28,7 @@ lam = sum mu in (0, 1] and A = Lam/lam - 1/lam + f(0) + 1.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -209,11 +210,11 @@ def _min_lp(gains: Sequence[np.ndarray], offsets: Optional[np.ndarray] = None,
     the objective c . rho + s.  By LP duality both give the same minimum:
     the least key value of sum_m sum_i rho_mi (G_m + c)_i."""
     k = gains[0].shape[0]
-    sizes = [G.shape[1] for G in gains]
-    npieces = sum(sizes)
+    ends = list(itertools.accumulate(G.shape[1] for G in gains))
+    spaces = [slice(end - G.shape[1], end) for G, end in zip(gains, ends)]
+    npieces = ends[-1]
     if offsets is None:
         offsets = np.zeros(npieces)
-    spaces = np.split(np.arange(npieces), np.cumsum(sizes)[:-1])
     if piece_rows is None:
         piece_rows = npieces + 1 <= k + len(gains)
     if piece_rows:
