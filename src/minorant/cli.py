@@ -47,13 +47,14 @@ from .core import (
 )
 from .gauge import BracketFailure, eval_gauge
 from .hbl import HblCertificate, HblInstance, solve_hbl_jk, solve_hbl_n
-from .lp import LpError
+from .lp import LpError, tableau_cells
 from .mok import MidpointReport, MokCertificate, solve_mok
 from .synth import (
     ConditionViolated,
     FiniteScoredSet,
     LiftedPolytope,
     SynthCertificate,
+    _min_lp_shape,
     synth_affine_from_scored_set,
     synth_composed_minorant,
     synth_tight_minorant,
@@ -177,45 +178,21 @@ MAX_TRIALS = 1_000                  # trials of one verify suite
 MAX_GEN_FLOATS = 1_000_000          # floats of one generated instance
 
 
-def _lp_cells(n_ub: int, n_eq: int, nvars: int) -> int:
-    """Worst-case cells of the tableau `lp.solve_lp` builds: one row per
-    constraint; the variables, one slack per inequality, one artificial per
-    row, and the right-hand side as columns.  The solver gives an artificial
-    only to equality rows and rows with a negative right-hand side, so its
-    tableau is at most this size."""
-    rows = n_ub + n_eq
-    return rows * (nvars + n_ub + rows + 1)
-
-
-def _check_work(path: str, keys: int, pieces: int, *lps: Tuple[int, int, int]) -> None:
+def _check_work(path: str, keys: int, pieces: int, spaces: int = 1,
+                scan: bool = True) -> None:
     """Reject a document whose midpoint scan (every pair of `keys` keys
-    against every key, over `pieces` pieces in all) or whose largest LP
-    (inequality rows, equality rows, variables) would exceed its cap."""
-    scan = keys * (keys + 1) // 2 * keys * pieces
-    if scan > MAX_SCAN_WORK:
-        raise SchemaError(f"{path}: estimated midpoint-scan work {scan} "
+    against every key, over `pieces` pieces in all; a polytope form has
+    none) or whose minimum LP, on the side `synth._min_lp_shape` picks,
+    would exceed its cap.  The LP for lhs of a payload with q >= 2 pieces
+    has the same keys and fewer pieces, so it is never the larger."""
+    work = keys * (keys + 1) // 2 * keys * pieces if scan else 0
+    if work > MAX_SCAN_WORK:
+        raise SchemaError(f"{path}: estimated midpoint-scan work {work} "
                           f"exceeds the cap {MAX_SCAN_WORK}")
-    cells = max(_lp_cells(*lp) for lp in lps)
+    cells = tableau_cells(*_min_lp_shape(keys, pieces, spaces))
     if cells > MAX_TABLEAU_CELLS:
         raise SchemaError(f"{path}: LP tableau of {cells} cells "
                           f"exceeds the cap {MAX_TABLEAU_CELLS}")
-
-
-def _min_lp_shape(pieces: int, keys: int, spaces: int = 1,
-                  piece_rows: Optional[bool] = None) -> Tuple[int, int, int]:
-    """The shape of `synth._min_lp`, the one LP of every form, on its piece
-    side (one row per piece of all spaces and the simplex row, over the
-    keys' weights and two level variables per space) or its key side (one
-    row per key and one simplex row per space, over the pieces' weights and
-    the level), by default whichever has fewer rows.  A polytope form stays
-    on the piece side, with the p*q composed pieces over the vertices; the
-    LP for the minimum of A o j + k has q pieces, so it is never the
-    larger."""
-    if piece_rows is None:
-        piece_rows = pieces + 1 <= keys + spaces
-    if piece_rows:
-        return (pieces, 1, keys + 2 * spaces)
-    return (keys, spaces, pieces + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +211,7 @@ def _build_solve_mok(payload: dict, path: str) -> tuple:
     obj = _take(payload, path, {"s": True, "d": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")
     D = np.asarray(_matrix(obj["d"], f"{path}.d", S.dim))
-    _check_work(f"{path}.d", len(D), S.npieces, _min_lp_shape(S.npieces, len(D)))
+    _check_work(f"{path}.d", len(D), S.npieces)
     return S, D
 
 
@@ -246,13 +223,13 @@ def _build_synth_affine(payload: dict, path: str) -> tuple:
         bb = _take(b, f"{path}.b", {"points": True, "scores": True})
         pts = _matrix(bb["points"], f"{path}.b.points", F.dim)
         scores = _num_list(bb["scores"], f"{path}.b.scores", len(pts))
-        _check_work(f"{path}.b.points", len(pts), F.npieces, _min_lp_shape(F.npieces, len(pts)))
+        _check_work(f"{path}.b.points", len(pts), F.npieces)
         return F, FiniteScoredSet(np.asarray(pts), np.asarray(scores))
     bb = _take(b, f"{path}.b", {"vertices": True, "score_lin": True, "score_off": True})
     V = _matrix(bb["vertices"], f"{path}.b.vertices", F.dim)
     lin = _num_list(bb["score_lin"], f"{path}.b.score_lin", F.dim)
     off = _number(bb["score_off"], f"{path}.b.score_off")
-    _check_work(f"{path}.b.vertices", 0, 0, _min_lp_shape(F.npieces, len(V), piece_rows=True))
+    _check_work(f"{path}.b.vertices", len(V), F.npieces, scan=False)
     return F, LiftedPolytope(Polytope(np.asarray(V)), np.asarray(lin), off)
 
 
@@ -263,11 +240,11 @@ def _build_synth_sun(payload: dict, path: str) -> tuple:
     if "points" in z:
         zz = _take(z, f"{path}.z", {"points": True})
         pts = _matrix(zz["points"], f"{path}.z.points", F.dim)
-        _check_work(f"{path}.z.points", len(pts), F.npieces, _min_lp_shape(F.npieces, len(pts)))
+        _check_work(f"{path}.z.points", len(pts), F.npieces)
         return F, np.asarray(pts)
     zz = _take(z, f"{path}.z", {"vertices": True})
     V = _matrix(zz["vertices"], f"{path}.z.vertices", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0, _min_lp_shape(F.npieces, len(V), piece_rows=True))
+    _check_work(f"{path}.z.vertices", len(V), F.npieces, scan=False)
     return F, Polytope(np.asarray(V))
 
 
@@ -279,12 +256,11 @@ def _build_synth_cahbl(payload: dict, path: str) -> tuple:
         zz = _take(z, f"{path}.z", {"j": True, "k": True})
         jt = _matrix(zz["j"], f"{path}.z.j", F.dim)
         kt = _num_list(zz["k"], f"{path}.z.k", len(jt))
-        _check_work(f"{path}.z.j", len(jt), F.npieces, _min_lp_shape(F.npieces, len(jt)))
+        _check_work(f"{path}.z.j", len(jt), F.npieces)
         return F, np.asarray(jt), np.asarray(kt), None
     zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
     Z, j, k, q = _parse_composed(zz, f"{path}.z", F.dim)
-    _check_work(f"{path}.z.vertices", 0, 0,
-                _min_lp_shape(F.npieces * q, Z.nvertices, piece_rows=True))
+    _check_work(f"{path}.z.vertices", Z.nvertices, F.npieces * q, scan=False)
     return F, j, k, Z
 
 
@@ -311,7 +287,7 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
         if "payload" in obj:
             kv = np.asarray(_num_list(obj["payload"], f"{path}.payload", nz))
         pieces = sum(S.npieces for S in sublinears)
-        _check_work(f"{path}.tables", nz, pieces, _min_lp_shape(pieces, nz, len(sublinears)))
+        _check_work(f"{path}.tables", nz, pieces, len(sublinears))
         return (HblInstance(sublinears, tables, kv),)
     if "s" not in payload:
         raise SchemaError(f"{path}: expected either 'sublinears' or 's'")
@@ -320,14 +296,13 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
         obj = _take(payload, path, {"s": True, "vertices": True, "j": True, "k": True})
         S = _parse_sublinear(obj["s"], f"{path}.s")
         Z, j, k, q = _parse_composed(obj, path, S.dim)
-        _check_work(f"{path}.vertices", 0, 0,
-                    _min_lp_shape(S.npieces * q, Z.nvertices, piece_rows=True))
+        _check_work(f"{path}.vertices", Z.nvertices, S.npieces * q, scan=False)
         return S, j, k, Z
     obj = _take(payload, path, {"s": True, "j": True, "k": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")
     jt = _matrix(obj["j"], f"{path}.j", S.dim)
     kt = _num_list(obj["k"], f"{path}.k", len(jt))
-    _check_work(f"{path}.j", len(jt), S.npieces, _min_lp_shape(S.npieces, len(jt)))
+    _check_work(f"{path}.j", len(jt), S.npieces)
     return S, np.asarray(jt), np.asarray(kt), None
 
 

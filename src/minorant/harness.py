@@ -93,19 +93,23 @@ def gen_instance(kind: str, dims: Dict[str, int], seed: int):
     raise InvalidInput(f"unknown instance kind: {kind!r}")
 
 
+def _unit_direction(rng: SplitMix64, d: int) -> np.ndarray:
+    """A uniform draw from [-1, 1]^d scaled to unit length; e_1 when the
+    draw is within 1e-6 of the origin."""
+    u = rng.uniform_vector(d, -1.0, 1.0)
+    nrm = float(np.linalg.norm(u))
+    if nrm < 1e-6:
+        return np.eye(d)[0]
+    return u / nrm
+
+
 def gen_mok_satisfied(seed: int, d: int = 3, p: int = 4, npts: int = 5):
     """A sublinear functional and point set whose midpoint condition holds
     by construction: all pieces are tilted to be nonpositive along a slack
     direction u, and the points sit on a line through u, so the farthest
     point along u witnesses every pair."""
     rng = SplitMix64(seed)
-    u = rng.uniform_vector(d, -1.0, 1.0)
-    nrm = float(np.linalg.norm(u))
-    if nrm < 1e-6:
-        u = np.zeros(d)
-        u[0] = 1.0
-        nrm = 1.0
-    u = u / nrm
+    u = _unit_direction(rng, d)
     pieces = rng.uniform_matrix(p, d, -COEFF_RANGE, COEFF_RANGE)
     along = pieces @ u
     pieces = pieces - np.outer(np.maximum(along, 0.0), u)  # <l_i, u> <= 0
@@ -121,13 +125,7 @@ def gen_line_constrained_set(seed: int, d: int = 3, p: int = 4, npts: int = 4):
     orthogonal to u) and a finite point set on a line along u, which then
     satisfies the midpoint-recession condition with zero scores."""
     rng = SplitMix64(seed)
-    u = rng.uniform_vector(d, -1.0, 1.0)
-    nrm = float(np.linalg.norm(u))
-    if nrm < 1e-6:
-        u = np.zeros(d)
-        u[0] = 1.0
-        nrm = 1.0
-    u = u / nrm
+    u = _unit_direction(rng, d)
     slopes = rng.uniform_matrix(p, d, -COEFF_RANGE, COEFF_RANGE)
     slopes = slopes - np.outer(slopes @ u, u)  # <a_i, u> = 0
     F = MaxAffineFn(slopes, rng.uniform_vector(p, -COEFF_RANGE, COEFF_RANGE))

@@ -19,8 +19,8 @@ identity functional; its support set is the single weight 1, so k is the
 payload of the one-space LP and the identity comes out structurally, with
 no tolerance.  Over a polytope the second space carries the homogenized
 payload pieces, and the weights of both spaces are the row duals of the
-one LP, on its piece side, that minimizes S o j + k over the polytope.  One space with no
-payload is `minorant.mok.solve_mok`.
+one LP that minimizes S o j + k over the polytope (`synth._composed_min`).
+One space with no payload is `minorant.mok.solve_mok`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .core import (
     ToleranceConfig,
 )
 from .scan import MidpointReport, midpoint_scan
-from .synth import _auto_report, _compose, _composed_polytope, _min_lp, _polytope_min
+from .synth import _auto_report, _composed_min, _min_lp
 
 __all__ = [
     "HblInstance",
@@ -122,18 +122,14 @@ def solve_hbl_n(
 ) -> HblCertificate:
     """The minimum LP with one simplex of weights per space, payload
     included."""
-    return _solve_product(inst, tol)
+    return _solve_product(inst, check_midpoint_hbl(inst, tol.tol_mid))
 
 
-def _solve_product(
-    inst: HblInstance,
-    tol: ToleranceConfig,
-    midpoint: Optional[MidpointReport] = None,
-) -> HblCertificate:
+def _solve_product(inst: HblInstance, midpoint: MidpointReport) -> HblCertificate:
     """The minimum LP with one space per sublinear, on the gains
-    T_m @ S_m.pieces^T; the key set is scanned for the midpoint condition
-    unless a report is given.  A payload is folded into the first space's
-    gains, which is exact because that space's weights sum to 1."""
+    T_m @ S_m.pieces^T, certified with the given midpoint report.  A payload
+    is folded into the first space's gains, which is exact because that
+    space's weights sum to 1."""
     gains = [tab @ S.pieces.T for S, tab in zip(inst.sublinears, inst.tables)]
     if inst.payload is not None:
         gains[0] = gains[0] + inst.payload[:, None]
@@ -151,8 +147,6 @@ def _solve_product(
 
     value = float(np.min(functools.reduce(np.add, lin_side)))
     target = float(np.min(functools.reduce(np.add, sub_side)))
-    if midpoint is None:
-        midpoint = check_midpoint_hbl(inst, tol.tol_mid)
     return HblCertificate(
         maps=maps,
         weights=weights,
@@ -181,20 +175,14 @@ def solve_hbl_jk(
     reach the target there.
     """
     if isinstance(Z, Polytope):
-        jV, K = _composed_polytope(Z, j, k, S.dim)
+        jV, K, target, theta, pi = _composed_min(S.pieces, np.zeros(S.npieces), Z, j, k)
         V = Z.vertices
-        # One LP: the minimum of S o j + k over Z on the p*q composed pieces,
-        # which may lie inside Z.  Its row duals rho_il give the weights
-        # theta_i = sum_l rho_il of S and pi_l = sum_i rho_il of the payload.
-        _, target, rho = _polytope_min(_compose(S.pieces, np.zeros(S.npieces), j, K), V)
-        rho = rho.reshape(S.npieces, K.npieces)
-        weights = [rho.sum(axis=1), rho.sum(axis=0)]
-        maps = [LinearMap(S.pieces.T @ weights[0]),
-                LinearMap(np.column_stack([K.slopes, K.offsets]).T @ weights[1])]
+        maps = [LinearMap(S.pieces.T @ theta),
+                LinearMap(np.column_stack([K.slopes, K.offsets]).T @ pi)]
         value = float(np.min(jV @ maps[0].w + np.column_stack([V, np.ones(len(V))]) @ maps[1].w))
         # The polytope itself satisfies the condition through literal
         # midpoints; its vertices as a finite set need not.
-        return HblCertificate(maps=maps, weights=weights, value=value, target=target,
+        return HblCertificate(maps=maps, weights=[theta, pi], value=value, target=target,
                               gap=target - value, midpoint=_auto_report())
 
     # Second space: the reals with the identity functional.  Its only piece
@@ -202,6 +190,7 @@ def solve_hbl_jk(
     # identity comes out exactly.
     j_table = np.asarray(j, dtype=np.float64).reshape(-1, S.dim)
     k_table = np.asarray(k, dtype=np.float64).reshape(-1)
-    cert = _solve_product(HblInstance([S], [j_table], k_table), tol)
+    inst = HblInstance([S], [j_table], k_table)
+    cert = _solve_product(inst, check_midpoint_hbl(inst, tol.tol_mid))
     return dataclasses.replace(cert, maps=cert.maps + [LinearMap(np.ones(1))],
                                weights=cert.weights + [np.ones(1)])

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LpSolution", "solve_lp", "LpError"]
+__all__ = ["LpSolution", "solve_lp", "LpError", "tableau_cells"]
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
@@ -125,6 +125,15 @@ def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, art_mask: np.ndarra
             nonzero = np.flatnonzero(np.abs(T[r, :n_real]) > _PIVOT_TOL)
             if nonzero.size:
                 _pivot(T, basis, r, int(nonzero[0]))
+
+
+def tableau_cells(n_ub: int, n_eq: int, nvars: int) -> int:
+    """Worst-case cells of the tableau `solve_lp` builds for `n_ub`
+    inequality rows, `n_eq` equality rows and `nvars` variables, as if
+    every row had an artificial column; only equality rows and rows with a
+    negative right-hand side get one."""
+    rows = n_ub + n_eq
+    return rows * (nvars + n_ub + rows + 1)
 
 
 def solve_lp(

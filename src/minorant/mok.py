@@ -78,7 +78,7 @@ def solve_mok(
     L = sum_i theta_i l_i.
     """
     midpoint = check_midpoint(S, D, tol.tol_mid)
-    cert = _solve_product(HblInstance([S], [_as_point_rows(D, S.dim)]), tol, midpoint)
+    cert = _solve_product(HblInstance([S], [_as_point_rows(D, S.dim)]), midpoint)
     return MokCertificate(
         L=cert.maps[0],
         weights=cert.weights[0],

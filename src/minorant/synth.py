@@ -191,15 +191,27 @@ def check_scored_midpoint(
     return midpoint_scan([B.points @ F.slopes.T], B.scores, tol)
 
 
-def _min_lp(gains: Sequence[np.ndarray], offsets: Optional[np.ndarray] = None,
-            piece_rows: Optional[bool] = None) -> Tuple[np.ndarray, List[np.ndarray]]:
+def _min_lp_shape(keys: int, pieces: int, spaces: int = 1) -> Tuple[int, int, int]:
+    """The one shape rule of the minimum LP over `keys` keys and `pieces`
+    pieces in `spaces` spaces: its (inequality rows, equality rows,
+    variables) on the side with fewer rows.  The piece side has one row per
+    piece and the simplex row over the keys' weights and two level variables
+    per space; the key side one row per key and one simplex row per space
+    over the pieces' weights and the level."""
+    if pieces + 1 <= keys + spaces:
+        return pieces, 1, keys + 2 * spaces
+    return keys, spaces, pieces + 1
+
+
+def _min_lp(gains: Sequence[np.ndarray],
+            offsets: Optional[np.ndarray] = None) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The one LP of every form: the minimum over nu on the keys' simplex of
     sum_m max_i ((G_m^T nu)_i + c_i), for one (keys, pieces) gain table G_m
     per space and the offsets c of all pieces (zero by default).  Returns
     nu and each space's weights rho_m on the simplex of its pieces.
 
-    It is built on its piece side or its key side, by default whichever has
-    fewer rows.  On the piece side each space has a free level
+    It is built on its piece side or its key side, whichever has fewer rows
+    (`_min_lp_shape`).  On the piece side each space has a free level
     t_m = t_m+ - t_m- and one row G_m^T nu - t_m <= -c_i per piece; nu is
     the solution and rho the row duals, and only the simplex row needs an
     artificial column when c >= 0.  The key side is its LP dual: each space's
@@ -215,28 +227,27 @@ def _min_lp(gains: Sequence[np.ndarray], offsets: Optional[np.ndarray] = None,
     npieces = ends[-1]
     if offsets is None:
         offsets = np.zeros(npieces)
-    if piece_rows is None:
-        piece_rows = npieces + 1 <= k + len(gains)
+    n_ub, n_eq, nv = _min_lp_shape(k, npieces, len(gains))
+    piece_rows = n_ub + n_eq == npieces + 1
     if piece_rows:
-        nv = k + 2 * len(gains)
         c = np.zeros(nv)
         c[k::2] = -1.0
         c[k + 1::2] = 1.0
-        A_eq = np.zeros((1, nv))
+        A_eq = np.zeros((n_eq, nv))
         A_eq[0, :k] = 1.0
-        A_ub = np.zeros((npieces, nv))
+        A_ub = np.zeros((n_ub, nv))
         for m, (G, rows) in enumerate(zip(gains, spaces)):
             A_ub[rows, :k] = G.T
             A_ub[rows, k + 2 * m] = -1.0
             A_ub[rows, k + 2 * m + 1] = 1.0
         sol = solve_lp(c, A_ub, -offsets, A_eq, np.array([1.0]))
     else:
-        A_ub = np.ones((k, npieces + 1))
-        A_eq = np.zeros((len(gains), npieces + 1))
+        A_ub = np.ones((n_ub, nv))
+        A_eq = np.zeros((n_eq, nv))
         for m, (G, rows) in enumerate(zip(gains, spaces)):
             A_ub[:, rows] = G.min() - G
             A_eq[m, rows] = 1.0
-        sol = solve_lp(np.append(offsets, 1.0), A_ub, np.zeros(k), A_eq, np.ones(len(gains)))
+        sol = solve_lp(np.append(offsets, 1.0), A_ub, np.zeros(k), A_eq, np.ones(n_eq))
     if not sol.is_optimal:
         raise LpError(f"minimum LP status {sol.status}")
     duals = sol.duals[:npieces if piece_rows else k]
@@ -248,10 +259,9 @@ def _min_lp(gains: Sequence[np.ndarray], offsets: Optional[np.ndarray] = None,
 def _polytope_min(F: MaxAffineFn, V: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
     """The minimizer of a max-affine function over conv(V), f's value there
     and the row duals of f's pieces: the minimum LP with the vertices as
-    keys, one space and f's offsets.  It stays on the piece side, whatever
-    the vertex count, so the minimizer V^T nu is the LP's solution rather
-    than a row dual."""
-    nu, (rho,) = _min_lp([V @ F.slopes.T], F.offsets, piece_rows=True)
+    keys, one space and f's offsets.  On either side it gives the weights nu
+    of the vertices, so the minimizer is V^T nu."""
+    nu, (rho,) = _min_lp([V @ F.slopes.T], F.offsets)
     x_star = V.T @ nu
     return x_star, float(F(x_star)), rho
 
@@ -381,19 +391,28 @@ def synth_tight_minorant(
     return _synth_finite(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
 
 
-def _composed_polytope(
+def _composed_min(
+    slopes: np.ndarray,
+    offsets: np.ndarray,
     Z: Polytope,
     j: Union[np.ndarray, AffineTransform],
     k: Union[np.ndarray, AffineMap, MaxAffineFn],
-    dim_out: int,
-) -> Tuple[np.ndarray, MaxAffineFn]:
-    """Check a composed polytope form and return the images j(v) of the
-    vertices and the payload as max-affine pieces (an affine k is one)."""
+) -> Tuple[np.ndarray, MaxAffineFn, float, np.ndarray, np.ndarray]:
+    """Every composed polytope form's one LP: the minimum delta over Z of
+    z -> max_i(<a_i, j(z)> + b_i) + k(z) on the p*q composed pieces, after
+    checking that j is affine and k affine or max-affine on Z's space.
+
+    Returns the images j(v) of the vertices, k as max-affine pieces (an
+    affine k is one), delta and the weights theta_i = sum_l rho_il of the
+    pieces (a_i, b_i) and pi_l = sum_i rho_il of k's, from the LP's row
+    duals rho_il.  By LP duality
+    min_v [sum_i theta_i (<a_i, j(v)> + b_i) + sum_l pi_l k_l(v)] = delta
+    over the vertices v."""
     if not isinstance(j, AffineTransform):
         raise InvalidInput("polytope form needs an affine composition map")
-    if j.dim_in != Z.dim or j.dim_out != dim_out:
+    if j.dim_in != Z.dim or j.dim_out != slopes.shape[1]:
         raise DimensionMismatch(
-            f"the polytope is {Z.dim}-d and the function {dim_out}-d, but the "
+            f"the polytope is {Z.dim}-d and the function {slopes.shape[1]}-d, but the "
             f"composition map goes from {j.dim_in}-d to {j.dim_out}-d")
     if isinstance(k, AffineMap):
         k = MaxAffineFn(k.w.reshape(1, -1), [k.c])
@@ -401,7 +420,10 @@ def _composed_polytope(
         raise InvalidInput("polytope form needs an affine or max-affine payload")
     if k.dim != Z.dim:
         raise DimensionMismatch(f"the payload is {k.dim}-d but the polytope {Z.dim}-d")
-    return Z.vertices @ j.matrix.T + j.offset, k
+    V = Z.vertices
+    _, delta, rho = _polytope_min(_compose(slopes, offsets, j, k), V)
+    rho = rho.reshape(len(slopes), k.npieces)
+    return V @ j.matrix.T + j.offset, k, delta, rho.sum(axis=1), rho.sum(axis=0)
 
 
 def _compose(slopes: np.ndarray, offsets: np.ndarray, j: AffineTransform,
@@ -421,24 +443,19 @@ def _synth_polytope(
     k: Union[AffineMap, MaxAffineFn],
 ) -> SynthCertificate:
     """Every polytope form from one LP, the minimum delta of f o j + k over Z
-    on the p*q composed pieces.  A tight minorant is the case j = identity,
-    k = 0, a scored polytope the case j = identity, k = its score map.
+    (`_composed_min`).  A tight minorant is the case j = identity, k = 0, a
+    scored polytope the case j = identity, k = its score map.
 
-    The LP's row duals rho_il give theta_i = sum_l rho_il on f's pieces and
-    pi_l = sum_i rho_il on k's, and by LP duality
-    min_v [sum_i theta_i (<a_i, j(v)> + b_i) + sum_l pi_l k_l(v)] = delta over
-    the vertices v: A = sum_i theta_i (a_i, b_i) <= f is tight.  With q >= 2
-    pieces, A o j + k may be least inside Z, so lhs is the LP minimum over Z
-    on its q pieces."""
-    pts, K = _composed_polytope(Z, j, k, F.dim)
+    A = sum_i theta_i (a_i, b_i) <= f is tight.  With q >= 2 pieces,
+    A o j + k may be least inside Z, so lhs is the LP minimum over Z on its
+    q pieces."""
+    pts, K, delta, theta, pi = _composed_min(F.slopes, F.offsets, Z, j, k)
     V = Z.vertices
     # Piece by piece, so an affine k gives exactly k.batch(V).
     KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
-    _, delta, rho = _polytope_min(_compose(F.slopes, F.offsets, j, K), V)
-    rho = rho.reshape(F.npieces, K.npieces)
     # The payload's share of a row beyond k_1(v), which the level rows hold.
-    cert = _certificate(F, rho.sum(axis=1), pts, KV[:, 0], delta, _auto_report(),
-                        (KV[:, 1:] - KV[:, :1], rho.sum(axis=0)[1:]))
+    cert = _certificate(F, theta, pts, KV[:, 0], delta, _auto_report(),
+                        (KV[:, 1:] - KV[:, :1], pi[1:]))
     if K.npieces == 1:
         return cert
     A = cert.affine

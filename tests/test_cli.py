@@ -840,7 +840,7 @@ GOLDEN = {
     "affine-polytope": ("15c1eb32556aca8225e9dfeb2f1290e44f4927f0454e76040ba67196ce6a5661", 0),
     "cahbl-finite": ("5ea32137f97834a965a5946ebfbf0ea9b2af16afcf3e681311906906da485540", 0),
     "cahbl-polytope-affine": ("3bfa139e20b0b3ffc8fd17f85f2872a401bd3e2fc59aa4f575bde651a87401f6", 0),
-    "cahbl-polytope-max-affine": ("86a0c02cec6e3aaaef2a36cc2f800e386ebb59dacff166fa14663e1a82446fde", 0),
+    "cahbl-polytope-max-affine": ("86b36ec3b79bac5f4a058d313a2109a265ac6b03c7015a6dacdf5505d882792b", 0),
     "cahbl-polytope-max-affine-ok": ("efa54078737af22bb02679fa00a04b824a4773e1228f1f25b8656b9a91f1f683", 0),
     "gauge-root": ("0ca67c3a93520c45f2a0f206c5268fb7bfbc0b60d3811764e7188571a4337186", 0),
     "gauge-zero": ("27b14ca7b6b8be95caa6dccaff85c540c2be00dedca8f8186bf55ba2c11eef06", 0),
@@ -1038,23 +1038,31 @@ class TestWorkBudget:
     raised before any solver array is allocated."""
 
     def test_scan_cap(self):
-        from minorant import cli
+        from minorant import cli, lp, synth
 
-        # One key against itself, over n pieces, is n terms.
-        cli._check_work("$.payload.d", 1, cli.MAX_SCAN_WORK, (1, 0, 1))
+        # One key against itself, over n pieces, is n terms.  At the cap the
+        # scan passes and the minimum LP of 10^9 pieces meets the tableau
+        # cap; one term more and the scan is rejected first.
+        cells = lp.tableau_cells(*synth._min_lp_shape(1, cli.MAX_SCAN_WORK))
         with pytest.raises(SchemaError) as err:
-            cli._check_work("$.payload.d", 1, cli.MAX_SCAN_WORK + 1, (1, 0, 1))
+            cli._check_work("$.payload.d", 1, cli.MAX_SCAN_WORK)
+        assert str(err.value) == (f"$.payload.d: LP tableau of {cells} cells "
+                                  f"exceeds the cap {cli.MAX_TABLEAU_CELLS}")
+        with pytest.raises(SchemaError) as err:
+            cli._check_work("$.payload.d", 1, cli.MAX_SCAN_WORK + 1)
         assert str(err.value) == (f"$.payload.d: estimated midpoint-scan work "
                                   f"{cli.MAX_SCAN_WORK + 1} exceeds the cap {cli.MAX_SCAN_WORK}")
         keys = round((2 * cli.MAX_SCAN_WORK) ** (1 / 3))
-        cli._check_work("$.payload.d", keys - 1, 1, (1, 0, 1))
+        cli._check_work("$.payload.d", keys - 1, 1)
         with pytest.raises(SchemaError, match="midpoint-scan work 1000981800 exceeds"):
-            cli._check_work("$.payload.d", keys, 1, (1, 0, 1))
+            cli._check_work("$.payload.d", keys, 1)
+        # A polytope form has no scan.
+        cli._check_work("$.payload.vertices", keys, 1, scan=False)
 
     def test_tableau_cap(self, monkeypatch):
         import numpy as np
 
-        from minorant import cli, lp
+        from minorant import cli, lp, synth
 
         # The estimate is the worst case of one artificial per row; the
         # tableau solve_lp builds has one per equality row and per row with a
@@ -1070,15 +1078,16 @@ class TestWorkBudget:
         b_ub = np.array([1.0, -1.0, 1.0])
         lp.solve_lp(np.ones(4), np.ones((3, 4)), b_ub, np.ones((2, 4)), np.ones(2))
         assert sizes == {5 * (4 + 3 + 3 + 1)}
-        assert cli._lp_cells(3, 2, 4) == 5 * (4 + 3 + 5 + 1)
+        assert lp.tableau_cells(3, 2, 4) == 5 * (4 + 3 + 5 + 1)
 
-        # One equality row over n - 2 variables is a 1 x n tableau.
-        at_cap = (0, 1, cli.MAX_TABLEAU_CELLS - 2)
-        assert cli._lp_cells(*at_cap) == cli.MAX_TABLEAU_CELLS
-        cli._check_work("$.payload.vertices", 0, 0, (2, 0, 1), at_cap)
+        # No pieces over n - 4 keys: the simplex row over n - 4 weights and
+        # two levels is a 1 x n tableau.
+        at_cap = cli.MAX_TABLEAU_CELLS - 4
+        assert synth._min_lp_shape(at_cap, 0) == (0, 1, cli.MAX_TABLEAU_CELLS - 2)
+        assert lp.tableau_cells(*synth._min_lp_shape(at_cap, 0)) == cli.MAX_TABLEAU_CELLS
+        cli._check_work("$.payload.vertices", at_cap, 0, scan=False)
         with pytest.raises(SchemaError) as err:
-            cli._check_work("$.payload.vertices", 0, 0, (2, 0, 1),
-                            (0, 1, cli.MAX_TABLEAU_CELLS - 1))
+            cli._check_work("$.payload.vertices", at_cap + 1, 0, scan=False)
         assert str(err.value) == (f"$.payload.vertices: LP tableau of "
                                   f"{cli.MAX_TABLEAU_CELLS + 1} cells exceeds the cap "
                                   f"{cli.MAX_TABLEAU_CELLS}")
@@ -1145,14 +1154,19 @@ class TestWorkBudget:
     def test_many_pieces_few_keys(self, monkeypatch):
         # 3,000 pieces over 2 keys: the minimum LP is built on its key side,
         # 2 key rows and one simplex row, so the document stays far below
-        # the tableau cap; its piece side would be 3,001 x 6,006 cells.
-        from minorant import cli, synth
+        # the tableau cap; its piece side would be 3,001 x 6,006 cells.  The
+        # polytope forms take the same rule: 3,000 pieces over a triangle
+        # build one LP of 3 vertex rows and the simplex row.
+        from minorant import cli, lp, synth
 
-        assert cli._lp_cells(*cli._min_lp_shape(3000, 2)) == 3 * (3001 + 2 + 3 + 1)
-        assert cli._lp_cells(3000, 1, 2 + 2) > cli.MAX_TABLEAU_CELLS
+        assert lp.tableau_cells(*synth._min_lp_shape(2, 3000)) == 3 * (3001 + 2 + 3 + 1)
+        assert lp.tableau_cells(3000, 1, 2 + 2) > cli.MAX_TABLEAU_CELLS
         angles = [2.0 * math.pi * i / 3000 for i in range(3000)]
         dirs = [[math.cos(a), math.sin(a)] for a in angles]
         pts = [[0.5, 0.25], [0.5, 0.25]]
+        triangle = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        j = {"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]}
+        k = {"lin": [0.5, -0.25], "off": 0.125}
         rows = []
 
         def solve(c, A_ub, b_ub, A_eq, b_eq, real=synth.solve_lp):
@@ -1161,13 +1175,18 @@ class TestWorkBudget:
 
         monkeypatch.setattr(synth, "solve_lp", solve)
         f = {"pieces": [{"a": a, "b": 0.0} for a in dirs]}
-        for kind, payload in (
-            ("solve-mok", {"s": {"pieces": dirs}, "d": pts}),
-            ("synth-affine", {"f": f, "b": {"points": pts, "scores": [0.0, 0.0]}}),
+        for kind, payload, nrows in (
+            ("solve-mok", {"s": {"pieces": dirs}, "d": pts}, 3),
+            ("synth-affine", {"f": f, "b": {"points": pts, "scores": [0.0, 0.0]}}, 3),
+            ("synth-affine", {"f": f, "b": {"vertices": triangle, "score_lin": [0.5, -0.25],
+                                            "score_off": 0.125}}, 4),
+            ("synth-sun", {"f": f, "z": {"vertices": triangle}}, 4),
+            ("synth-cahbl", {"f": f, "z": {"vertices": triangle, "j": j, "k": k}}, 4),
+            ("solve-hbl", {"s": {"pieces": dirs}, "vertices": triangle, "j": j, "k": k}, 4),
         ):
             rows.clear()
             text, code = run_problem_text(doc(kind, payload))
-            assert code == EXIT_OK and rows == [3]
+            assert code == EXIT_OK and rows == [nrows]
             assert json.loads(text)["certificate"]["gap"] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", sorted(n for n in GOLDEN
@@ -1181,10 +1200,10 @@ class TestWorkBudget:
         real_check, real_core, real_scan = cli._check_work, lp._simplex_core, mok.midpoint_scan
         real_solve, exact = lp.solve_lp, []
 
-        def check(path, keys, pieces, *lps):
-            estimated.append((keys * (keys + 1) // 2 * keys * pieces,
-                              max(cli._lp_cells(*lp) for lp in lps)))
-            real_check(path, keys, pieces, *lps)
+        def check(path, keys, pieces, spaces=1, scan=True):
+            estimated.append((keys * (keys + 1) // 2 * keys * pieces if scan else 0,
+                              lp.tableau_cells(*synth._min_lp_shape(keys, pieces, spaces))))
+            real_check(path, keys, pieces, spaces, scan)
 
         def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
             # The estimate is the worst case on the shapes solve_lp receives;
@@ -1192,7 +1211,7 @@ class TestWorkBudget:
             # with a negative right-hand side.
             n, n_ub, n_eq = len(c), len(b_ub), 0 if b_eq is None else len(b_eq)
             n_art = n_eq + int(np.count_nonzero(np.asarray(b_ub) < 0))
-            built["cells"] = max(built["cells"], cli._lp_cells(n_ub, n_eq, n))
+            built["cells"] = max(built["cells"], lp.tableau_cells(n_ub, n_eq, n))
             exact.append((n_ub + n_eq) * (n + n_ub + n_art + 1))
             return real_solve(c, A_ub, b_ub, A_eq, b_eq)
 

@@ -16,8 +16,8 @@ from minorant.harness import (
 from minorant.hbl import HblInstance, solve_hbl_jk, solve_hbl_n
 from minorant.mok import solve_mok
 from minorant.synth import (
-    FiniteScoredSet, LiftedPolytope, synth_affine_from_scored_set, synth_composed_minorant,
-    synth_tight_minorant,
+    FiniteScoredSet, LiftedPolytope, min_convex_over_polytope, synth_affine_from_scored_set,
+    synth_composed_minorant, synth_tight_minorant,
 )
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -151,6 +151,21 @@ def test_one_lp_per_polytope_form(lp_rows):
         assert count(synth_tight_minorant, G, Z) == 1
         B = LiftedPolytope(Z, rng.uniform_vector(Z.dim, -2.0, 2.0), 0.5)
         assert count(synth_affine_from_scored_set, G, B) == 1
+
+
+@pytest.mark.parametrize("t", range(8))
+def test_min_over_few_vertices(lp_rows, t):
+    # More pieces than vertices: the minimum LP takes its key side, one row
+    # per vertex and the simplex row, and the minimizer V^T nu reads the
+    # vertex weights nu from its row duals.
+    rng = SplitMix64(9600 + t)
+    d, v = 1 + t % 3, 1 + t % 4
+    V = rng.uniform_matrix(v, d, -2.0, 2.0)
+    F = MaxAffineFn(rng.uniform_matrix(30, d, -2.0, 2.0), rng.uniform_vector(30, -2.0, 2.0))
+    x, value = min_convex_over_polytope(F, V)
+    assert lp_rows == [v + 1]
+    assert value == float(F(x))
+    assert abs(value - _scipy_min(F, V)) <= TOL
 
 
 @pytest.mark.parametrize("keys", [1, 4, 6, 40])
