@@ -228,7 +228,7 @@ def _min_lp(gains: Sequence[np.ndarray],
     if offsets is None:
         offsets = np.zeros(npieces)
     n_ub, n_eq, nv = _min_lp_shape(k, npieces, len(gains))
-    piece_rows = n_ub + n_eq == npieces + 1
+    piece_rows = n_ub + n_eq == npieces + 1   # a row per piece and the simplex row
     if piece_rows:
         c = np.zeros(nv)
         c[k::2] = -1.0
