@@ -13,8 +13,8 @@ Exit codes are part of the contract:
 Every form takes its weights from one LP: the minimum of a max-affine
 function over the convex hull of the keys (the scored points, the table
 rows or the polytope's vertices), whose dual solution is the certificate's
-weights (LP duality).  Over a polytope it is exact on the composed pieces of
-f o j + k.
+weights (LP duality).  Over a polytope it is exact on f o j + k as a sum of
+two max-affine functions, one space each.
 
 A report is always written once parsing succeeded.  It is strict JSON:
 each float is written as its shortest repr, which parses back to the same
@@ -124,16 +124,29 @@ def _num_list(value, path: str, length: Optional[int] = None) -> List[float]:
     return out
 
 
-def _matrix(value, path: str, cols: Optional[int] = None) -> List[List[float]]:
+def _matrix(value, path: str, cols: Optional[int] = None) -> np.ndarray:
+    """A nonempty array of nonempty rows of finite numbers, all as long as
+    the first (or `cols`).  The whole matrix is checked at once: one scan of
+    the row and element types, one array and one finiteness test.  A matrix
+    that fails goes row by row, so the error names the offending path."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{path}: expected a nonempty array of rows")
+    width = cols or (len(value[0]) if type(value[0]) is list else 0)
+    if (width and all(type(row) is list and len(row) == width for row in value)
+            and {type(x) for row in value for x in row} <= {float, int}):
+        try:
+            m = np.array(value, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            m = None
+        if m is not None and np.all(np.isfinite(m)):
+            return m
     rows = []
     width = cols
     for i, row in enumerate(value):
         r = _num_list(row, f"{path}[{i}]", width)
         width = len(r)
         rows.append(r)
-    return rows
+    return np.asarray(rows)
 
 
 def _parse_max_affine(value, path: str) -> MaxAffineFn:
@@ -183,8 +196,7 @@ def _check_work(path: str, keys: int, pieces: int, spaces: int = 1,
     """Reject a document whose midpoint scan (every pair of `keys` keys
     against every key, over `pieces` pieces in all; a polytope form has
     none) or whose minimum LP, on the side `synth._min_lp_shape` picks,
-    would exceed its cap.  The LP for lhs of a payload with q >= 2 pieces
-    has the same keys and fewer pieces, so it is never the larger."""
+    would exceed its cap."""
     work = keys * (keys + 1) // 2 * keys * pieces if scan else 0
     if work > MAX_SCAN_WORK:
         raise SchemaError(f"{path}: estimated midpoint-scan work {work} "
@@ -259,8 +271,7 @@ def _build_synth_cahbl(payload: dict, path: str) -> tuple:
         _check_work(f"{path}.z.j", len(jt), F.npieces)
         return F, np.asarray(jt), np.asarray(kt), None
     zz = _take(z, f"{path}.z", {"vertices": True, "j": True, "k": True})
-    Z, j, k, q = _parse_composed(zz, f"{path}.z", F.dim)
-    _check_work(f"{path}.z.vertices", Z.nvertices, F.npieces * q, scan=False)
+    Z, j, k = _parse_composed(zz, f"{path}.z", F.npieces, F.dim)
     return F, j, k, Z
 
 
@@ -295,8 +306,7 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
     if "vertices" in payload:
         obj = _take(payload, path, {"s": True, "vertices": True, "j": True, "k": True})
         S = _parse_sublinear(obj["s"], f"{path}.s")
-        Z, j, k, q = _parse_composed(obj, path, S.dim)
-        _check_work(f"{path}.vertices", Z.nvertices, S.npieces * q, scan=False)
+        Z, j, k = _parse_composed(obj, path, S.npieces, S.dim)
         return S, j, k, Z
     obj = _take(payload, path, {"s": True, "j": True, "k": True})
     S = _parse_sublinear(obj["s"], f"{path}.s")
@@ -306,9 +316,10 @@ def _build_solve_hbl(payload: dict, path: str) -> tuple:
     return S, np.asarray(jt), np.asarray(kt), None
 
 
-def _parse_composed(obj: dict, path: str, dim_out: int) -> tuple:
+def _parse_composed(obj: dict, path: str, pieces: int, dim_out: int) -> tuple:
     """The polytope, the affine map j into R^dim_out and the payload k of a
-    composed polytope form, and the number of pieces of k."""
+    composed polytope form, after checking its one LP: the vertices as keys,
+    a space of the function's `pieces` and, for q >= 2 payload pieces, one of q."""
     V = _matrix(obj["vertices"], f"{path}.vertices")
     dz = len(V[0])
     jm = _take(obj["j"], f"{path}.j", {"matrix": True, "offset": True})
@@ -317,8 +328,9 @@ def _parse_composed(obj: dict, path: str, dim_out: int) -> tuple:
         raise SchemaError(f"{path}.j.matrix: expected {dim_out} rows")
     off = _num_list(jm["offset"], f"{path}.j.offset", dim_out)
     k = _parse_payload_k(obj["k"], f"{path}.k", dz)
-    q = k.npieces if isinstance(k, MaxAffineFn) else 1
-    return Polytope(np.asarray(V)), AffineTransform(np.asarray(M), np.asarray(off)), k, q
+    spaces = [pieces] if isinstance(k, AffineMap) or k.npieces == 1 else [pieces, k.npieces]
+    _check_work(f"{path}.vertices", len(V), sum(spaces), len(spaces), scan=False)
+    return Polytope(np.asarray(V)), AffineTransform(np.asarray(M), np.asarray(off)), k
 
 
 def _parse_payload_k(value, path: str, dz: int):

@@ -87,6 +87,22 @@ def _as_matrix(rows: Union[Sequence[Sequence[float]], np.ndarray], cols: Optiona
     return m
 
 
+def _as_point_rows(points: Sequence, dim: int) -> np.ndarray:
+    """The points of a finite set as the rows of one float64 array, each
+    checked as `as_vector(point, dim)` checks it.  The whole set is checked
+    at once; a set that fails goes point by point, which raises the error
+    of its first bad point."""
+    if len(points) == 0:
+        raise InvalidInput("the point set must be nonempty")
+    try:
+        rows = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.shape[1] == dim and np.all(np.isfinite(rows)):
+        return rows
+    return np.vstack([as_vector(p, dim) for p in points])
+
+
 @dataclass(frozen=True)
 class MaxAffineFn:
     """A polyhedral convex function f(x) = max_i(<a_i, x> + b_i).

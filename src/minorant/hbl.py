@@ -18,8 +18,8 @@ case.  Over a finite key set the second space is the reals with the
 identity functional; its support set is the single weight 1, so k is the
 payload of the one-space LP and the identity comes out structurally, with
 no tolerance.  Over a polytope the second space carries the homogenized
-payload pieces, and the weights of both spaces are the row duals of the
-one LP that minimizes S o j + k over the polytope (`synth._composed_min`).
+payload pieces, with the weight 1 for one piece and otherwise the row duals
+of the one LP that minimizes S o j + k over the polytope (`synth._composed_min`).
 One space with no payload is `minorant.mok.solve_mok`.
 """
 
@@ -175,7 +175,7 @@ def solve_hbl_jk(
     reach the target there.
     """
     if isinstance(Z, Polytope):
-        jV, K, target, theta, pi = _composed_min(S.pieces, np.zeros(S.npieces), Z, j, k)
+        _, jV, K, target, theta, pi = _composed_min(S.pieces, np.zeros(S.npieces), Z, j, k)
         V = Z.vertices
         maps = [LinearMap(S.pieces.T @ theta),
                 LinearMap(np.column_stack([K.slopes, K.offsets]).T @ pi)]

@@ -19,11 +19,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    InvalidInput,
     LinearMap,
     PolyhedralSublinear,
     ToleranceConfig,
-    as_vector,
+    _as_point_rows,
 )
 from .hbl import HblInstance, _solve_product
 from .scan import MidpointReport, midpoint_scan
@@ -46,12 +45,6 @@ class MokCertificate:
     def within(self, tol: ToleranceConfig) -> bool:
         """The two infima agree within `tol.tol_lp`."""
         return abs(self.gap) <= tol.tol_lp
-
-
-def _as_point_rows(D: List, dim: int) -> np.ndarray:
-    if len(D) == 0:
-        raise InvalidInput("the point set D must be nonempty")
-    return np.vstack([as_vector(d, dim) for d in D])
 
 
 def check_midpoint(
@@ -77,8 +70,9 @@ def solve_mok(
     theta, on the simplex of S's pieces, gives the weights of
     L = sum_i theta_i l_i.
     """
-    midpoint = check_midpoint(S, D, tol.tol_mid)
-    cert = _solve_product(HblInstance([S], [_as_point_rows(D, S.dim)]), midpoint)
+    pts = _as_point_rows(D, S.dim)
+    midpoint = check_midpoint(S, pts, tol.tol_mid)
+    cert = _solve_product(HblInstance([S], [pts]), midpoint)
     return MokCertificate(
         L=cert.maps[0],
         weights=cert.weights[0],

@@ -19,7 +19,7 @@ max over theta on the simplex of a min over B.  By LP duality it is the
 minimum, over the convex hull of B's keys, of a max-affine function, which
 `_min_lp` computes with theta, its LP dual solution.  Over a finite set the keys are
 the scored points, with f's offsets and the scores in the gains; over a
-polytope they are the vertices, on the pieces of f o j + k.  The gauge
+polytope they are the vertices, with f o j + k as two spaces.  The gauge
 weights mu = theta / (theta . (f(0) + 1 - b)) give the lifted map
 (x, alpha) -> <Lam, x> - lam * alpha of the epigraph gauge, with
 lam = sum mu in (0, 1] and A = Lam/lam - 1/lam + f(0) + 1.
@@ -28,6 +28,7 @@ lam = sum mu in (0, 1] and A = Lam/lam - 1/lam + f(0) + 1.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -44,6 +45,7 @@ from .core import (
     MaxAffineFn,
     Polytope,
     ToleranceConfig,
+    _as_point_rows,
     as_vector,
     subgradient_max_affine,
 )
@@ -256,14 +258,14 @@ def _min_lp(gains: Sequence[np.ndarray],
     return nu, [rho[rows] for rows in spaces]
 
 
-def _polytope_min(F: MaxAffineFn, V: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
-    """The minimizer of a max-affine function over conv(V), f's value there
-    and the row duals of f's pieces: the minimum LP with the vertices as
-    keys, one space and f's offsets.  On either side it gives the weights nu
-    of the vertices, so the minimizer is V^T nu."""
-    nu, (rho,) = _min_lp([V @ F.slopes.T], F.offsets)
+def _polytope_min(Fs: Sequence[MaxAffineFn], V: np.ndarray) -> Tuple[np.ndarray, float, list]:
+    """The minimizer over conv(V) of a sum of max-affine functions, one per
+    space, the sum's value there and each space's row duals: the minimum LP
+    with the vertices as keys and the pieces' offsets.  On either side it
+    gives the weights nu of the vertices, so the minimizer is V^T nu."""
+    nu, rho = _min_lp([V @ F.slopes.T for F in Fs], np.concatenate([F.offsets for F in Fs]))
     x_star = V.T @ nu
-    return x_star, float(F(x_star)), rho
+    return x_star, float(functools.reduce(np.add, [F(x_star) for F in Fs])), rho
 
 
 def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -274,7 +276,7 @@ def min_convex_over_polytope(F: MaxAffineFn, vertices: np.ndarray) -> Tuple[np.n
         V = V.reshape(1, -1)
     if V.shape[0] < 1:
         raise InvalidInput("vertex list must be nonempty")
-    x_star, value, _ = _polytope_min(F, V)
+    x_star, value, _ = _polytope_min([F], V)
     return x_star, value
 
 
@@ -387,7 +389,7 @@ def synth_tight_minorant(
     if isinstance(Z, Polytope):
         return _synth_polytope(F, Z, AffineTransform.identity(Z.dim),
                                AffineMap(np.zeros(Z.dim), 0.0))
-    pts = np.vstack([as_vector(z, F.dim) for z in Z])
+    pts = _as_point_rows(Z, F.dim)
     return _synth_finite(F, FiniteScoredSet(pts, np.zeros(pts.shape[0])), tol)
 
 
@@ -397,17 +399,17 @@ def _composed_min(
     Z: Polytope,
     j: Union[np.ndarray, AffineTransform],
     k: Union[np.ndarray, AffineMap, MaxAffineFn],
-) -> Tuple[np.ndarray, MaxAffineFn, float, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, MaxAffineFn, float, np.ndarray, np.ndarray]:
     """Every composed polytope form's one LP: the minimum delta over Z of
-    z -> max_i(<a_i, j(z)> + b_i) + k(z) on the p*q composed pieces, after
-    checking that j is affine and k affine or max-affine on Z's space.
+    z -> max_i(<a_i, j(z)> + b_i) + k(z), after checking that j is affine
+    and k affine or max-affine on Z's space, in two spaces over the
+    vertices: the p pieces of f o j + k_1 and, only when q >= 2, the q of
+    max_l(k_l - k_1).
 
-    Returns the images j(v) of the vertices, k as max-affine pieces (an
-    affine k is one), delta and the weights theta_i = sum_l rho_il of the
-    pieces (a_i, b_i) and pi_l = sum_i rho_il of k's, from the LP's row
-    duals rho_il.  By LP duality
-    min_v [sum_i theta_i (<a_i, j(v)> + b_i) + sum_l pi_l k_l(v)] = delta
-    over the vertices v."""
+    Returns the minimizer x* = V^T nu, the images j(v) of the vertices, k
+    as max-affine pieces (an affine k is one), delta = (f o j + k)(x*) and
+    the spaces' row duals theta and pi (pi = [1] when q = 1).  By LP duality
+    min_v [sum_i theta_i (<a_i, j(v)> + b_i) + sum_l pi_l k_l(v)] = delta."""
     if not isinstance(j, AffineTransform):
         raise InvalidInput("polytope form needs an affine composition map")
     if j.dim_in != Z.dim or j.dim_out != slopes.shape[1]:
@@ -420,20 +422,14 @@ def _composed_min(
         raise InvalidInput("polytope form needs an affine or max-affine payload")
     if k.dim != Z.dim:
         raise DimensionMismatch(f"the payload is {k.dim}-d but the polytope {Z.dim}-d")
+    spaces = [MaxAffineFn(slopes @ j.matrix + k.slopes[0],
+                          slopes @ j.offset + offsets + k.offsets[0])]
+    if k.npieces > 1:
+        spaces.append(MaxAffineFn(k.slopes - k.slopes[0], k.offsets - k.offsets[0]))
     V = Z.vertices
-    _, delta, rho = _polytope_min(_compose(slopes, offsets, j, k), V)
-    rho = rho.reshape(len(slopes), k.npieces)
-    return V @ j.matrix.T + j.offset, k, delta, rho.sum(axis=1), rho.sum(axis=0)
-
-
-def _compose(slopes: np.ndarray, offsets: np.ndarray, j: AffineTransform,
-             k: MaxAffineFn) -> MaxAffineFn:
-    """The pieces of z -> max_i(<a_i, j(z)> + b_i) + k(z), one per pair of
-    pieces (i, l) in row-major order."""
-    return MaxAffineFn(
-        ((slopes @ j.matrix)[:, None, :] + k.slopes).reshape(-1, k.dim),
-        ((slopes @ j.offset + offsets)[:, None] + k.offsets).reshape(-1),
-    )
+    x_star, delta, rho = _polytope_min(spaces, V)
+    pi = rho[1] if k.npieces > 1 else np.ones(1)
+    return x_star, V @ j.matrix.T + j.offset, k, delta, rho[0], pi
 
 
 def _synth_polytope(
@@ -446,10 +442,10 @@ def _synth_polytope(
     (`_composed_min`).  A tight minorant is the case j = identity, k = 0, a
     scored polytope the case j = identity, k = its score map.
 
-    A = sum_i theta_i (a_i, b_i) <= f is tight.  With q >= 2 pieces,
-    A o j + k may be least inside Z, so lhs is the LP minimum over Z on its
-    q pieces."""
-    pts, K, delta, theta, pi = _composed_min(F.slopes, F.offsets, Z, j, k)
+    A = sum_i theta_i (a_i, b_i) <= f is tight.  With q >= 2 pieces, lhs is
+    A o j + k at the minimizer x* of f o j + k: at most delta, and at least
+    min_v (A o j + sum_l pi_l k_l)(v), which is delta by LP duality."""
+    x_star, pts, K, delta, theta, pi = _composed_min(F.slopes, F.offsets, Z, j, k)
     V = Z.vertices
     # Piece by piece, so an affine k gives exactly k.batch(V).
     KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
@@ -458,8 +454,7 @@ def _synth_polytope(
                         (KV[:, 1:] - KV[:, :1], pi[1:]))
     if K.npieces == 1:
         return cert
-    A = cert.affine
-    _, lhs, _ = _polytope_min(_compose(A.w[None], np.array([A.c]), j, K), V)
+    lhs = cert.affine(j(x_star)) + K(x_star)
     return dataclasses.replace(cert, lhs=lhs, gap=lhs - delta)
 
 

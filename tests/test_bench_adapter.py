@@ -78,3 +78,42 @@ def test_checker_accepts_cli_report(checker, name):
     report, code = run_problem_text(text)
     assert code == EXIT_OK
     assert checker.check_report(text, report) == []
+
+
+# The trace layers whose function is gone from src/ (since PR 13), and the
+# bindings of `lp.solve_lp` in modules that reach it only through
+# `synth._min_lp`, whose binding sees every call.  Deleting them is a change
+# to the benchmark.
+GONE_LAYERS = {"synth.min_over_scored_set"}
+UNUSED_BINDINGS = {"minorant.synth:min_over_scored_set", "minorant.mok:solve_lp",
+                   "minorant.hbl:solve_lp"}
+
+
+def test_every_trace_binding_resolves(solver):
+    # A binding that does not resolve leaves its layer's metrics at 0.
+    spans = solver.spans
+    unresolved = {b for bindings, _ in spans.LAYERS.values() for b in bindings
+                  if spans._resolve(b)[0] is None}
+    assert unresolved <= UNUSED_BINDINGS
+
+
+def test_every_trace_layer_is_reached(solver, tmp_path):
+    # One tiny problem of each in-process kind and three CLI documents reach
+    # every layer but the gone ones, so a call moved off a traced path
+    # fails here instead of reading 0.
+    tracer = solver.spans.Tracer()
+    tracer.install()
+    try:
+        for kind, payload in PROBLEMS:
+            call, _ = solver.library_call(kind, payload)
+            call()
+        for name in ("gauge-root", "gen-polytope", "sun-vertices"):
+            kind, text, flags = _golden_documents()[name]
+            src = tmp_path / "in.json"
+            src.write_text(text)
+            solver.cli.run_command([kind, "--input", str(src), "--output",
+                                    str(tmp_path / "out.json"), *flags])
+    finally:
+        tracer.uninstall()
+    assert set(tracer.absent) <= GONE_LAYERS
+    assert set(solver.spans.LAYERS) - {s[2] for s in tracer.spans} <= GONE_LAYERS

@@ -91,3 +91,39 @@ class TestSolveMok:
         assert c1.value == c2.value and c1.target == c2.target
         assert np.array_equal(c1.weights, c2.weights)
         assert np.array_equal(c1.L.w, c2.L.w)
+
+
+class TestPointRows:
+    """The point set is converted and checked once, as one array."""
+
+    @pytest.mark.parametrize("D,error,message", [
+        ([[1.0, 2.0], [3.0, np.nan]], "InvalidInput", "vector has non-finite entries"),
+        ([[1.0, 2.0], [3.0, 4.0, 5.0]], "DimensionMismatch", "expected dimension 2, got 3"),
+        ([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]], "DimensionMismatch", "expected dimension 2, got 3"),
+        ([[1.0, 2.0], [[3.0, 4.0]]], "InvalidInput", "expected a 1-D vector, got shape (1, 2)"),
+        ([[1.0, 2.0], "ab"], "ValueError", "could not convert string to float: 'ab'"),
+        ([], "InvalidInput", "the point set must be nonempty"),
+    ], ids=["nan", "ragged", "wide", "nested", "string", "empty"])
+    def test_errors_name_the_first_bad_point(self, D, error, message):
+        S = PolyhedralSublinear(np.array([[1.0, 0.0], [-1.0, 0.5]]))
+        with pytest.raises(ValueError) as err:
+            solve_mok(S, D)
+        assert (type(err.value).__name__, str(err.value)) == (error, message)
+
+    def test_scan_and_lp_share_one_array(self, monkeypatch):
+        import minorant.mok as mok_mod
+
+        seen = []
+        real = mok_mod.check_midpoint
+
+        def spy(S, D, tol):
+            seen.append(D)
+            return real(S, D, tol)
+
+        monkeypatch.setattr(mok_mod, "check_midpoint", spy)
+        S = PolyhedralSublinear(np.array([[1.0, 0.0], [-1.0, 0.5]]))
+        D = [np.array([1.0, 2.0]), [3, 4]]
+        cert = solve_mok(S, D)
+        assert len(seen) == 1 and isinstance(seen[0], np.ndarray)
+        assert seen[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert cert.target == min(S(d) for d in seen[0])

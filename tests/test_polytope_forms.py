@@ -1,7 +1,9 @@
 """Both composed polytope forms are exact: a seeded corpus of segments and
 polygons with payloads of one to three pieces, checked against scipy's
 polytope minimum, the barycentric grid oracle and the sampled domination
-oracle.  Every form, finite or polytope, solves the one minimum LP."""
+oracle.  Every form, finite or polytope, solves the one minimum LP; over a
+polytope it has a space for f o j + k_1 and, when k has q >= 2 pieces, a
+second space for k."""
 
 import tracemalloc
 
@@ -32,16 +34,21 @@ def _composed(slopes, offsets, j, k):
     return MaxAffineFn.from_pieces(pieces)
 
 
-def _scipy_min(G, V):
-    """min over conv(V) of G: minimize t over nu on the simplex with
-    <a_i, V^T nu> + b_i <= t for every piece."""
-    v = V.shape[0]
-    res = linprog(np.r_[np.zeros(v), 1.0],
-                  A_ub=np.c_[G.slopes @ V.T, -np.ones(G.npieces)], b_ub=-G.offsets,
-                  A_eq=np.r_[np.ones(v), 0.0].reshape(1, -1), b_eq=[1.0],
-                  bounds=[(0, None)] * v + [(None, None)], method="highs")
+def _scipy_min_of_sum(Gs, V):
+    """min over conv(V) of sum_m G_m: minimize sum_m t_m over nu on the
+    simplex with <a_i, V^T nu> + b_i <= t_m for every piece of every G_m."""
+    v, m = V.shape[0], len(Gs)
+    rows = [np.c_[G.slopes @ V.T, -np.eye(m)[[s] * G.npieces]] for s, G in enumerate(Gs)]
+    res = linprog(np.r_[np.zeros(v), np.ones(m)], A_ub=np.vstack(rows),
+                  b_ub=-np.concatenate([G.offsets for G in Gs]),
+                  A_eq=np.r_[np.ones(v), np.zeros(m)].reshape(1, -1), b_eq=[1.0],
+                  bounds=[(0, None)] * v + [(None, None)] * m, method="highs")
     assert res.status == 0
     return float(res.fun)
+
+
+def _scipy_min(G, V):
+    return _scipy_min_of_sum([G], V)
 
 
 def _grid_min(G, V):
@@ -108,9 +115,35 @@ def test_hbl_polytope_is_exact(t, V, j, k, payload):
     assert abs(cert.gap) <= TOL
     assert abs(cert.target - _scipy_min(sjk, V)) <= TOL
     assert cert.target <= _grid_min(sjk, V) + 1e-12
-    theta = cert.weights[0]
+    theta, pi = cert.weights
     assert np.all(theta >= 0.0) and abs(np.sum(theta) - 1.0) <= 1e-12
     assert np.array_equal(cert.maps[0].w, S.pieces.T @ theta)
+    # k's weights are the second space's row duals, and exactly 1 for one
+    # piece, which has no space of its own.
+    if k.npieces == 1:
+        assert pi.tolist() == [1.0]
+    assert np.all(pi >= 0.0) and abs(np.sum(pi) - 1.0) <= 1e-12
+    assert np.array_equal(cert.maps[1].w, np.column_stack([k.slopes, k.offsets]).T @ pi)
+
+
+@pytest.mark.parametrize("t,V,j,k,payload", [c for c in CORPUS if c[3].npieces > 1],
+                         ids=[f"t{c[0]}" for c in CORPUS if c[3].npieces > 1])
+def test_lhs_meets_the_bracket(t, V, j, k, payload):
+    # With q >= 2 payload pieces, lhs is A o j + k at the minimizer x* of
+    # f o j + k, and the lower end of the bracket is the least vertex value
+    # of the affine A o j + sum_l pi_l k_l.  Both meet the exact minimum of
+    # A o j + k over the polytope.
+    rng = SplitMix64(9200 + t)
+    p = 2 + t % 3
+    F = MaxAffineFn(rng.uniform_matrix(p, j.dim_out, -2.0, 2.0), rng.uniform_vector(p, -2.0, 2.0))
+    cert = synth_composed_minorant(F, j, payload, Polytope(V))
+    _, jV, K, delta, _, pi = synth_mod._composed_min(F.slopes, F.offsets, Polytope(V), j, k)
+    assert delta == cert.delta
+    A = cert.affine
+    exact = _scipy_min(_composed(A.w[None], [A.c], j, k), V)
+    lower = float(np.min(jV @ A.w + A.c + (V @ K.slopes.T + K.offsets) @ pi))
+    assert abs(cert.lhs - exact) <= TOL
+    assert abs(lower - exact) <= TOL
 
 
 @pytest.fixture
@@ -134,8 +167,9 @@ def _solved_rows(rows, solve, *args):
 
 
 def test_one_lp_per_polytope_form(lp_rows):
-    # The weights are the row duals of the minimum LP: one LP per form, and
-    # a second one, for lhs, only when the payload has q >= 2 pieces.
+    # The weights are the row duals of the minimum LP: one LP per form for
+    # every q, with 3 pieces of f o j + k_1 in one space and, when q >= 2,
+    # q pieces of k in a second.
     def count(solve, *args):
         return len(_solved_rows(lp_rows, solve, *args))
 
@@ -145,12 +179,30 @@ def test_one_lp_per_polytope_form(lp_rows):
                         rng.uniform_vector(3, -2.0, 2.0))
         S = PolyhedralSublinear(F.slopes)
         Z = Polytope(V)
-        assert count(synth_composed_minorant, F, j, payload, Z) == (1 if k.npieces == 1 else 2)
-        assert count(solve_hbl_jk, S, j, payload, Z) == 1
+        spaces = [3] if k.npieces == 1 else [3, k.npieces]
+        rows = [sum(synth_mod._min_lp_shape(len(V), sum(spaces), len(spaces))[:2])]
+        assert _solved_rows(lp_rows, synth_composed_minorant, F, j, payload, Z) == rows
+        assert _solved_rows(lp_rows, solve_hbl_jk, S, j, payload, Z) == rows
         G = MaxAffineFn(rng.uniform_matrix(3, Z.dim, -2.0, 2.0), rng.uniform_vector(3, -2.0, 2.0))
         assert count(synth_tight_minorant, G, Z) == 1
         B = LiftedPolytope(Z, rng.uniform_vector(Z.dim, -2.0, 2.0), 0.5)
         assert count(synth_affine_from_scored_set, G, B) == 1
+
+
+def test_two_spaces_at_scale(lp_rows):
+    # p = 20 pieces of f, q = 100 of k and 3,000 vertices: one LP of
+    # p + q + 1 = 121 rows, where the p * q = 2,000 composed pieces would
+    # take 2,001.
+    rng = np.random.default_rng(11)
+    F = MaxAffineFn(rng.uniform(-2.0, 2.0, (20, 6)), rng.uniform(-2.0, 2.0, 20))
+    j = AffineTransform(rng.uniform(-2.0, 2.0, (6, 4)), rng.uniform(-2.0, 2.0, 6))
+    k = MaxAffineFn(rng.uniform(-2.0, 2.0, (100, 4)), rng.uniform(-2.0, 2.0, 100))
+    V = rng.normal(size=(3000, 4))
+    cert = synth_composed_minorant(F, j, k, Polytope(V))
+    assert lp_rows == [20 + 100 + 1]
+    fj = MaxAffineFn(F.slopes @ j.matrix, F.slopes @ j.offset + F.offsets)
+    assert abs(cert.delta - _scipy_min_of_sum([fj, k], V)) <= TOL
+    assert abs(cert.gap) <= TOL
 
 
 @pytest.mark.parametrize("t", range(8))
