@@ -19,7 +19,7 @@ max over theta on the simplex of a min over B.  By LP duality it is the
 minimum, over the convex hull of B's keys, of a max-affine function, which
 `_min_lp` computes with theta, its LP dual solution.  Over a finite set the keys are
 the scored points, with f's offsets and the scores in the gains; over a
-polytope they are the vertices, with f o j + k as two spaces.  The gauge
+polytope they are the vertices, on f o j + k in one space, or two for q >= 2.  The gauge
 weights mu = theta / (theta . (f(0) + 1 - b)) give the lifted map
 (x, alpha) -> <Lam, x> - lam * alpha of the epigraph gauge, with
 lam = sum mu in (0, 1] and A = Lam/lam - 1/lam + f(0) + 1.

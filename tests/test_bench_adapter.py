@@ -80,10 +80,9 @@ def test_checker_accepts_cli_report(checker, name):
     assert checker.check_report(text, report) == []
 
 
-# The trace layers whose function is gone from src/ (since PR 13), and the
-# bindings of `lp.solve_lp` in modules that reach it only through
-# `synth._min_lp`, whose binding sees every call.  Deleting them is a change
-# to the benchmark.
+# The trace layers whose function is gone from src/, and the bindings of
+# `lp.solve_lp` in modules that reach it only through `synth._min_lp`, whose
+# binding sees every call.  Deleting them is a change to the benchmark.
 GONE_LAYERS = {"synth.min_over_scored_set"}
 UNUSED_BINDINGS = {"minorant.synth:min_over_scored_set", "minorant.mok:solve_lp",
                    "minorant.hbl:solve_lp"}
