@@ -460,7 +460,7 @@ def _vec(v: np.ndarray) -> list:
 def _midpoint_json(rep: MidpointReport) -> dict:
     return {
         "status": rep.status,
-        "witnesses": [[int(i), int(j), int(c)] for (i, j), c in sorted(rep.witnesses.items())],
+        "witnesses": rep.witnesses.triples().tolist(),
         "violation": None if rep.violation is None else {
             "pair": [int(rep.violation[0][0]), int(rep.violation[0][1])],
             "value": float(rep.violation[1]),

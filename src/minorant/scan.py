@@ -19,16 +19,23 @@ in input order.  After each block the pairs that found a witness leave the
 active set, so a satisfied set is done after its last first witness; a
 pair without one still sees every candidate, so a violated set costs the
 full O(k^2 * k * p).
+
+The first witnesses go into one int64 array in row-major pair order, -1 for
+a pair without one, and the report reads them through a mapping view over
+that array: no per-pair Python object is built unless a caller asks for it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MidpointReport", "midpoint_scan"]
+__all__ = ["MidpointReport", "Witnesses", "midpoint_scan"]
 
 # Candidate x pair cells scored per block: few numpy calls per pair, and the
 # block's buffers stay in cache (of 8K-32K, 16K was fastest on 60-100 keys).
@@ -41,18 +48,66 @@ _CHUNK_FLOATS = 1 << 17
 _PER_PAIR = 8
 
 
+class Witnesses(Mapping):
+    """Read-only mapping (i, j) -> c, i <= j, over one int64 array of the
+    k(k+1)/2 pairs in row-major order, -1 for a pair without a witness.
+
+    Keys and values are Python ints.  Iteration and ``items()`` go in
+    row-major order, which is the sorted order of the keys; ``len`` counts
+    the witnesses on demand.  A pair with j < i, out of range or without a
+    witness raises KeyError.  It compares equal to a dict with the same items.
+    """
+
+    __slots__ = ("_first", "_k")
+
+    def __init__(self, first: np.ndarray):
+        self._first = first
+        self._k = (math.isqrt(8 * first.size + 1) - 1) // 2
+        first.flags.writeable = False
+
+    def __getitem__(self, key) -> int:
+        try:
+            i, j = map(operator.index, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if 0 <= i <= j < self._k:
+            c = int(self._first[i * self._k - i * (i - 1) // 2 + j - i])
+            if c >= 0:
+                return c
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        t = self.triples()
+        return zip(t[:, 0].tolist(), t[:, 1].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._first >= 0))
+
+    def items(self) -> List[Tuple[Tuple[int, int], int]]:
+        t = self.triples()
+        return list(zip(zip(t[:, 0].tolist(), t[:, 1].tolist()), t[:, 2].tolist()))
+
+    def triples(self) -> np.ndarray:
+        """The witnesses as an (n, 3) int64 array of rows (i, j, c), in
+        row-major pair order."""
+        I, J = np.triu_indices(self._k)
+        got = self._first >= 0
+        return np.stack([I[got], J[got], self._first[got]], axis=1).astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class MidpointReport:
     """Outcome of the pairwise midpoint scan.
 
-    ``witnesses`` maps each index pair (i, j), i <= j, to the index of the
-    first element d with S(d - (d_i + d_j)/2) within tolerance of <= 0.
-    When violated, ``violation`` holds the worst pair and the least value any
-    candidate achieved for it.
+    ``witnesses`` maps each index pair (i, j), i <= j, that has a witness to
+    the index of the first element d with S(d - (d_i + d_j)/2) within
+    tolerance of <= 0; it is a :class:`Witnesses` view, kept as one
+    row-major array.  When violated, ``violation`` holds the worst pair and
+    the least value any candidate achieved for it.
     """
 
     satisfied: bool
-    witnesses: Dict[Tuple[int, int], int]
+    witnesses: Witnesses
     violation: Optional[Tuple[Tuple[int, int], float]] = None
 
     @property
@@ -90,20 +145,19 @@ def midpoint_scan(
     step = max(1, max(k * max(k, width), _CHUNK_FLOATS) // (width + _PER_PAIR))
     rows = np.arange(k)
     starts = rows * k - rows * (rows - 1) // 2      # flat index of pair (i, i)
-    witnesses: Dict[Tuple[int, int], int] = {}
+    first = np.empty(npairs, dtype=np.int64)
     worst: Optional[Tuple[Tuple[int, int], float]] = None
     for lo in range(0, npairs, step):
-        flat = np.arange(lo, min(lo + step, npairs))
+        hi = min(lo + step, npairs)
+        flat = np.arange(lo, hi)
         I = np.searchsorted(starts, flat, side="right") - 1
         J = flat - starts[I] + I
-        first, least = _scan_pairs(gains, payload, I, J, tol)
-        got = np.flatnonzero(first >= 0)
-        witnesses.update(zip(zip(I[got].tolist(), J[got].tolist()), first[got].tolist()))
-        if got.size < flat.size:
+        first[lo:hi], least = _scan_pairs(gains, payload, I, J, tol)
+        if first[lo:hi].min() < 0:
             r = int(np.argmax(least))
             if worst is None or least[r] > worst[1]:
                 worst = ((int(I[r]), int(J[r])), float(least[r]))
-    return MidpointReport(worst is None, witnesses, worst)
+    return MidpointReport(worst is None, Witnesses(first), worst)
 
 
 def _scan_pairs(gains, payload, I, J, tol) -> Tuple[np.ndarray, np.ndarray]:

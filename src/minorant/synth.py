@@ -50,7 +50,7 @@ from .core import (
     subgradient_max_affine,
 )
 from .lp import LpError, solve_lp
-from .scan import MidpointReport, midpoint_scan
+from .scan import MidpointReport, Witnesses, midpoint_scan
 
 __all__ = [
     "FiniteScoredSet",
@@ -173,7 +173,7 @@ class SynthCertificate:
 def _auto_report() -> MidpointReport:
     # Convex sets satisfy the hypothesis with the literal midpoint; there is
     # nothing finite to enumerate.
-    return MidpointReport(True, {}, None)
+    return MidpointReport(True, Witnesses(np.empty(0, dtype=np.int64)), None)
 
 
 def check_scored_midpoint(

@@ -1,18 +1,20 @@
 """The blocked midpoint scan agrees with a plain pair-by-pair loop, and bit
 for bit with the row kernel it replaced."""
 
+import json
 import tracemalloc
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
 
+from minorant.cli import _midpoint_json
 from minorant.core import MaxAffineFn, PolyhedralSublinear
 from minorant.hbl import HblInstance, check_midpoint_hbl
 from minorant.mok import check_midpoint
 from minorant import scan
-from minorant.scan import MidpointReport, midpoint_scan
-from minorant.synth import FiniteScoredSet, check_scored_midpoint
+from minorant.scan import MidpointReport, Witnesses, midpoint_scan
+from minorant.synth import FiniteScoredSet, _auto_report, check_scored_midpoint
 
 
 def loop_scan(pieces, tables, payload, tol):
@@ -241,10 +243,11 @@ def test_worst_tie_across_chunks_keeps_row_major_first(monkeypatch, sizes):
 @pytest.mark.parametrize("k, p", [(400, 1), (8, 20_000)])
 def test_scan_temporaries_stay_within_a_few_scan_rows(k, p):
     # The row kernel's largest temporaries were k x max(k, p) floats.  Beyond
-    # the report it returns (80,200 witnesses for k = 400), the scan may hold
-    # at most four such rows at its peak.  Holding every pair's mid-row would
-    # take 4.5 rows for k = 8, and every pair's candidate values 200 for
-    # k = 400.
+    # the report it returns, the scan may hold at most four such rows at its
+    # peak.  Holding every pair's mid-row would take 4.5 rows for k = 8, and
+    # every pair's candidate values 200 for k = 400.  The report keeps one
+    # int64 per pair (80,200 for k = 400) and little else: a dict of as many
+    # tuples would take several times that.
     gains = [np.random.default_rng(k).uniform(-1, 1, (k, p))]
     tracemalloc.start()
     try:
@@ -254,6 +257,7 @@ def test_scan_temporaries_stay_within_a_few_scan_rows(k, p):
         tracemalloc.stop()
     assert rep.satisfied == (p == 1)
     assert peak - kept <= 4 * 8 * k * max(k, p)
+    assert kept <= 8 * k * (k + 1) // 2 + 64 * 1024
 
 
 def test_wrappers_match_loop():
@@ -290,3 +294,65 @@ def test_duplicates_witness_each_other_first_in_input_order():
     rep = midpoint_scan(gains, None, 0.0)
     assert rep.satisfied
     assert set(rep.witnesses.values()) == {0}
+
+
+def test_witness_view_behaves_like_the_oracle_dict():
+    missing = 0
+    for pieces, tables, payload in CORPUS:
+        gains = [T @ P.T for P, T in zip(pieces, tables)]
+        k = tables[0].shape[0]
+        want = loop_scan(pieces, tables, payload, 1e-9).witnesses
+        rows = row_scan(gains, payload, 1e-9).witnesses
+        view = midpoint_scan(gains, payload, 1e-9).witnesses
+        assert isinstance(view, Witnesses)
+        assert list(view.items()) == sorted(want.items())
+        assert list(view) == sorted(want)
+        assert all(type(x) is int for (i, j), c in view.items() for x in (i, j, c))
+        assert json.loads(json.dumps(list(view.items()))) == [[list(key), c] for key, c
+                                                              in sorted(want.items())]
+        assert len(view) == len(want)
+        assert view == want and want == view
+        assert view == rows and rows == view
+        assert not view != want
+        for i in range(-1, k + 1):
+            for j in range(-1, k + 1):
+                assert ((i, j) in view) == ((i, j) in want)
+                if (i, j) in want:
+                    assert view[(i, j)] == want[(i, j)]
+                else:
+                    with pytest.raises(KeyError):
+                        view[(i, j)]
+                    assert view.get((i, j)) is None
+        for key in (0, "0", (0,), (0, 0, 0), None):
+            assert key not in view
+        missing += k * (k + 1) // 2 - len(view)
+        with pytest.raises(TypeError):
+            view[(0, 0)] = 0
+    assert missing > 0
+
+
+def test_empty_witness_view_behaves_like_an_empty_dict():
+    rep = _auto_report()
+    view = rep.witnesses
+    assert isinstance(view, Witnesses)
+    assert view == {} and {} == view
+    assert len(view) == 0 and not view
+    assert list(view) == [] and list(view.items()) == []
+    assert (0, 0) not in view
+    with pytest.raises(KeyError):
+        view[(0, 0)]
+    assert view.triples().shape == (0, 3)
+    assert _midpoint_json(rep)["witnesses"] == []
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5])
+def test_report_witness_list_is_the_sorted_dict_triples(tol):
+    cases = [([T @ P.T for P, T in zip(pieces, tables)], payload)
+             for pieces, tables, payload in CORPUS]
+    cases.append(LARGE["gap-200"])
+    for gains, payload in cases:
+        want = row_scan(gains, payload, tol).witnesses
+        got = _midpoint_json(midpoint_scan(gains, payload, tol))["witnesses"]
+        assert got == [[int(i), int(j), int(c)] for (i, j), c in sorted(want.items())]
+        assert all(type(x) is int for triple in got for x in triple)
+    assert not midpoint_scan(*LARGE["gap-200"], 1e-9).satisfied
