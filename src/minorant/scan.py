@@ -27,6 +27,7 @@ that array: no per-pair Python object is built unless a caller asks for it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Mapping
@@ -90,9 +91,22 @@ class Witnesses(Mapping):
     def triples(self) -> np.ndarray:
         """The witnesses as an (n, 3) int64 array of rows (i, j, c), in
         row-major pair order."""
-        I, J = np.triu_indices(self._k)
-        got = self._first >= 0
-        return np.stack([I[got], J[got], self._first[got]], axis=1).astype(np.int64, copy=False)
+        if not self._k:
+            return np.empty((0, 3), dtype=np.int64)
+        rows = _pair_rows(self._k).copy()
+        rows[:, 2] = self._first
+        return rows[self._first >= 0]
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_rows(k: int) -> np.ndarray:
+    # Rows (i, j, 0) of the k(k+1)/2 pairs in row-major order.  Built on the
+    # first call for a k and reused, so a small set's triples cost a few
+    # numpy calls; callers copy it before writing.
+    rows = np.zeros((k * (k + 1) // 2, 3), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = np.triu_indices(k)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)

@@ -170,10 +170,13 @@ class SynthCertificate:
         )
 
 
+_NO_WITNESSES = Witnesses(np.empty(0, dtype=np.int64))
+
+
 def _auto_report() -> MidpointReport:
     # Convex sets satisfy the hypothesis with the literal midpoint; there is
     # nothing finite to enumerate.
-    return MidpointReport(True, Witnesses(np.empty(0, dtype=np.int64)), None)
+    return MidpointReport(True, _NO_WITNESSES, None)
 
 
 def check_scored_midpoint(

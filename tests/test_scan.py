@@ -331,6 +331,19 @@ def test_witness_view_behaves_like_the_oracle_dict():
     assert missing > 0
 
 
+def test_triples_are_fresh_arrays_per_call():
+    # Views of the same k share their pair rows; writing into one view's
+    # triples must not reach another's.
+    pieces, tables, payload = CORPUS[0]
+    gains = [T @ P.T for P, T in zip(pieces, tables)]
+    a = midpoint_scan(gains, payload, 1e-9).witnesses
+    want = a.triples().tolist()
+    a.triples()[:] = -5
+    b = midpoint_scan(gains, payload, 1e-9).witnesses
+    assert a.triples().tolist() == want == b.triples().tolist()
+    assert [[i, j, c] for (i, j), c in b.items()] == want
+
+
 def test_empty_witness_view_behaves_like_an_empty_dict():
     rep = _auto_report()
     view = rep.witnesses
