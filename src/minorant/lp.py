@@ -39,6 +39,7 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
 _MAX_ITER = 20000
 _DEGENERATE_LIMIT = 50   # consecutive degenerate pivots before Bland's rule
+_BLOCK_CELLS = 1 << 16   # cells of the pivot's product buffer (512 KB)
 
 
 class LpError(RuntimeError):
@@ -58,15 +59,80 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _scratch(T: np.ndarray) -> np.ndarray:
+    """The product buffer of `_pivot` for tableau T: whole rows, at most
+    `_BLOCK_CELLS` cells unless one row alone is longer."""
+    m, width = T.shape
+    return np.empty((max(1, min(m, _BLOCK_CELLS // width)), width))
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
+           buf: Optional[np.ndarray] = None) -> None:
+    """Pivot T on (row, col) in place, with the bits of the row loop
+    `T[r] -= T[r, col] * T[row]` over every other row with a nonzero in
+    the pivot column.
+
+    The rank-1 update runs unmasked, one block of rows of `buf` (from
+    `_scratch`; made here when not given) at a time: the buffer takes the
+    block's multipliers T[r, col] times the pivot row, and the block
+    subtracts it, so no temporary of the tableau's size is made.  Before
+    the subtraction the product rows of the pivot row and of the rows with
+    a zero multiplier are set to +0.0: x - (+0.0) is x in every bit, so
+    those rows keep their signed zeros, which a product of -0.0 could flip.
+    Subtracting +0.0 cannot overflow, so a floating-point error can come
+    only from a product of a multiplier and a pivot-row entry.
+    """
     T[row] /= T[row, col]
-    # Rows with a zero in the pivot column are left alone, so no signed
-    # zero can flip; every other row gets T[r] - T[r, col] * T[row], in
-    # place under the row mask.
-    rows = T[:, col] != 0.0
-    rows[row] = False
-    np.subtract(T, np.multiply.outer(T[:, col], T[row]), out=T, where=rows[:, None])
+    if buf is None:
+        buf = _scratch(T)
+    prow = T[row]                          # left as it is by the update
+    m, step = T.shape[0], buf.shape[0]
+    for lo in range(0, m, step):
+        block, out = T[lo:lo + step], buf[:m - lo]
+        mult = block[:, col:col + 1]
+        np.copyto(out, mult)               # out[r, j] = T[r, col] * T[row, j]
+        out *= prow
+        if np.count_nonzero(mult) < len(mult):
+            np.copyto(out, 0.0, where=mult == 0.0)
+        if lo <= row < lo + step:
+            out[row - lo] = 0.0
+        block -= out
     basis[row] = col
+
+
+def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
+                 ratios: np.ndarray) -> Tuple[int, float]:
+    """Ratio test on column `enter` of T: the leaving row and its ratio
+    rhs / entry over the rows whose entry exceeds `_PIVOT_TOL`, or
+    (-1, inf) when the rule picks none: no such row, or only +inf and NaN
+    ratios.  `ratios` is scratch with one cell per row.
+
+    The rule is sequential (a tolerance band, not an argmin): in row order
+    a ratio below the best by more than `_PIVOT_TOL`, or within it with a
+    lower basic variable index, becomes the best.  A finite minimum with
+    no other ratio within 2 * _PIVOT_TOL of it is the row that rule picks,
+    so it leaves at once and only near-ties run the loop.
+    """
+    column = T[:, enter]
+    positive = column > _PIVOT_TOL
+    ratios.fill(np.inf)
+    np.divide(T[:, -1], column, out=ratios, where=positive)
+    leave = int(ratios.argmin())
+    best_ratio = float(ratios[leave])
+    if abs(best_ratio) < np.inf and np.count_nonzero(
+            ratios <= best_ratio + 2 * _PIVOT_TOL) == 1:
+        return leave, best_ratio
+    rows = np.flatnonzero(positive)
+    leave = -1
+    best_ratio = np.inf
+    for r, ratio in zip(rows.tolist(), ratios[rows].tolist()):
+        if ratio < best_ratio - _PIVOT_TOL or (
+            abs(ratio - best_ratio) <= _PIVOT_TOL
+            and (leave < 0 or basis[r] < basis[leave])
+        ):
+            best_ratio = ratio
+            leave = r
+    return leave, best_ratio
 
 
 def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
@@ -80,37 +146,27 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     pricing step.  T and basis are updated in place.
     """
     n = T.shape[1] - 1
+    buf = _scratch(T)
+    ratios = np.empty(T.shape[0])
     degenerate = 0                         # consecutive degenerate pivots
     for _ in range(_MAX_ITER):
         # Reduced costs: z_j - c_j computed by pricing the basis.
         y = cost[basis]                    # basic objective coefficients
         reduced = y @ T[:, :n] - cost[:n]
-        eligible = np.flatnonzero(allowed & (reduced < -_PIVOT_TOL))
-        if eligible.size == 0:
-            return "optimal", reduced
+        eligible = allowed & (reduced < -_PIVOT_TOL)   # a NaN is never eligible
         if degenerate < _DEGENERATE_LIMIT:
             # Dantzig: most negative reduced cost, lowest index on ties.
-            enter = int(eligible[np.argmin(reduced[eligible])])
+            enter = int(np.where(eligible, reduced, np.inf).argmin())
         else:
-            enter = int(eligible[0])        # Bland: lowest eligible index
-        # Ratio test with Bland tie-break on the leaving basic variable index.
-        # The tie-break is sequential (a tolerance band, not an argmin).
-        rows = np.flatnonzero(T[:, enter] > _PIVOT_TOL)
-        ratios = T[rows, -1] / T[rows, enter]
-        leave = -1
-        best_ratio = np.inf
-        for r, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best_ratio - _PIVOT_TOL or (
-                abs(ratio - best_ratio) <= _PIVOT_TOL
-                and (leave < 0 or basis[r] < basis[leave])
-            ):
-                best_ratio = ratio
-                leave = r
+            enter = int(eligible.argmax())    # Bland: lowest eligible index
+        if not eligible[enter]:
+            return "optimal", reduced
+        leave, best_ratio = _leaving_row(T, basis, enter, ratios)
         if leave < 0:
             return "unbounded", reduced
         if degenerate < _DEGENERATE_LIMIT:  # once reached, Bland holds
             degenerate = degenerate + 1 if best_ratio <= _PIVOT_TOL else 0
-        _pivot(T, basis, leave, enter)
+        _pivot(T, basis, leave, enter, buf)
     raise LpError("simplex iteration cap exceeded")
 
 
