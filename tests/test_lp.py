@@ -1,3 +1,4 @@
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -194,13 +195,14 @@ def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     if m == 0:
         if np.any(c > 0):
             return LpSolution("unbounded", None, None)
-        return LpSolution("optimal", np.zeros(n), 0.0)
+        return LpSolution("optimal", np.zeros(n), 0.0, np.zeros(0))
     n_slack = kinds.count("ub")
     pivot, simplex_core, drive_out = _reference(_Counts(), n_real=n + n_slack)
     ncols = n + n_slack + m
     T = np.zeros((m, ncols + 1))
     basis = np.full(m, -1, dtype=np.int64)
     art_cols = []
+    dual_cols, signs = [], []
     s = 0
     for r in range(m):
         a, b = rows[r].copy(), rhs[r]
@@ -211,6 +213,10 @@ def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         sign = 1.0
         if b < 0:
             sign, a, b = -1.0, -a, -b
+        # The dual of a row is the reduced cost of its slack column, or of
+        # its artificial column times its sign for an equality row.
+        dual_cols.append(slack_col if slack_col >= 0 else n + n_slack + r)
+        signs.append(1.0 if slack_col >= 0 else sign)
         T[r, :n] = a
         if slack_col >= 0:
             T[r, slack_col] = sign
@@ -224,6 +230,7 @@ def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
             art_cols.append(col)
     art_mask = np.zeros(ncols, dtype=bool)
     art_mask[art_cols] = True
+    unused = np.setdiff1d(np.arange(n + n_slack, ncols), art_cols)
     if art_cols:
         cost1 = np.zeros(ncols + 1)
         cost1[art_cols] = -1.0
@@ -239,7 +246,15 @@ def _seed_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     x = np.zeros(ncols)
     x[basis] = T[:, -1]
     xr = x[:n].copy()
-    return LpSolution("optimal", xr, float(c @ xr))
+    # The duals are the final reduced costs, priced as solve_lp prices them:
+    # over a C-ordered tableau of the compact layout's columns (the unused
+    # artificial columns are zero), since the bits of a BLAS matrix-vector
+    # product can depend on the matrix's width and memory order.
+    keep = np.setdiff1d(np.arange(ncols + 1), unused)
+    Tc = np.ascontiguousarray(T[:, keep])
+    reduced = np.zeros(ncols)
+    reduced[keep[:-1]] = cost2[basis] @ Tc[:, :-1] - cost2[keep[:-1]]
+    return LpSolution("optimal", xr, float(c @ xr), reduced[dual_cols] * np.array(signs))
 
 
 BEALE = (
@@ -298,6 +313,25 @@ def _dense_case(m: int, n: int, seed: int = 0):
 DENSE = {f"{m}x{n}": _dense_case(m, n) for m, n in ((130, 30), (240, 40), (350, 50))}
 
 
+def _polytope_case(keys: int, seed: int):
+    """A minimum LP shaped like the piece side of a benchmark polytope: one
+    row G^T nu - t <= -c_i per piece for 48 pieces of a 6-d function at
+    `keys` vertices, the free level t = t+ - t-, and the simplex row over
+    the vertex weights nu.  About half of the offsets c are positive, so
+    those rows start on an artificial, as the simplex row does: the origin
+    is infeasible and phase 1 runs."""
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(-1, 1, (keys, 6)) @ rng.normal(size=(6, 48))
+    c = np.zeros(keys + 2)
+    c[keys:] = [-1.0, 1.0]
+    A_ub = np.hstack([G.T, -np.ones((48, 1)), np.ones((48, 1))])
+    A_eq = np.append(np.ones(keys), [0.0, 0.0])[None, :]
+    return c, A_ub, -rng.uniform(-1, 1, 48), A_eq, np.array([1.0])
+
+
+POLYTOPE = {f"polytope-{keys}": _polytope_case(keys, seed) for keys, seed in ((64, 0), (128, 1))}
+
+
 def _solve_with(case, monkeypatch=None, counts=None, degenerate_limit=_DEGENERATE_LIMIT):
     if monkeypatch is not None:
         n_real = len(case[0]) + (0 if case[2] is None else len(case[2]))
@@ -315,6 +349,9 @@ def _same_bits(a, b):
     else:
         assert a.x.tobytes() == b.x.tobytes()
         assert np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+    assert (a.duals is None) == (b.duals is None)
+    if a.duals is not None:
+        assert a.duals.tobytes() == b.duals.tobytes()
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
@@ -326,8 +363,8 @@ def test_vectorized_simplex_matches_loop_reference(index, monkeypatch):
     _same_bits(got, want)
 
 
-@pytest.mark.parametrize("case", [*CORPUS, *DENSE.values()],
-                         ids=[*map(str, range(len(CORPUS))), *DENSE])
+@pytest.mark.parametrize("case", [*CORPUS, *DENSE.values(), *POLYTOPE.values()],
+                         ids=[*map(str, range(len(CORPUS))), *DENSE, *POLYTOPE])
 def test_compact_layout_matches_seed_layout(case):
     # The seed's tableau gave every row an artificial column; solve_lp gives
     # one only to the rows that start on it.  The pivot order and every bit
@@ -335,22 +372,128 @@ def test_compact_layout_matches_seed_layout(case):
     _same_bits(solve_lp(*case), _seed_solve_lp(*case))
 
 
+@pytest.mark.parametrize("name", POLYTOPE)
+def test_polytope_shaped_lp_matches_loop_reference(name, monkeypatch):
+    case = POLYTOPE[name]
+    assert 16 <= np.count_nonzero(case[2] < 0) <= 32   # rows on an artificial
+    counts = _Counts()
+    with monkeypatch.context() as mp:
+        want = _solve_with(case, mp, counts)
+    assert want.is_optimal and counts.phase1 == 1 and counts.pivots > 20
+    _same_bits(solve_lp(*case), want)
+    # Again with a product buffer of a few rows, so that every pivot runs
+    # its update in row blocks, the last one short.
+    made = []
+    scratch = lp_mod._scratch
+    monkeypatch.setattr(lp_mod, "_BLOCK_CELLS", 2000)
+    monkeypatch.setattr(lp_mod, "_scratch", lambda T: made.append(scratch(T)) or made[-1])
+    _same_bits(solve_lp(*case), want)
+    assert made and all(1 < len(buf) < 49 and 49 % len(buf) for buf in made)
+
+
 @pytest.mark.parametrize("nonzero_rows", [1, 4])
 def test_pivot_keeps_signed_zeros(nonzero_rows):
     # Row 5 has a zero in the pivot column, so it must stay untouched: its
-    # -0.0 would become +0.0 under -0.0 - (0.0 * -2.0).  The pivot column
-    # is sparse (one other nonzero row) or dense (four).
-    T = np.arange(1.0, 31.0).reshape(6, 5)
-    T[0] = [2.0, -2.0, 1.0, 3.0, 4.0]
-    T[1 + nonzero_rows:, 0] = 0.0
-    T[5, 1] = -0.0
-    want = T.copy()
+    # -0.0 would become +0.0 under -0.0 - (0.0 * -2.0).  Row 1 has the
+    # multiplier -6.0 and -0.0 where the pivot row has -0.0 and +0.0: the
+    # loop gives -0.0 - (-6.0 * -0.0) = -0.0 and -0.0 - (-6.0 * +0.0) = +0.0,
+    # where an update whose products start from +0.0 (einsum, or a BLAS
+    # rank-1 update) keeps the second -0.0.  The pivot column is sparse (one
+    # other nonzero row) or dense (four).  The update runs in one block and
+    # in blocks of two rows.
+    base = np.arange(1.0, 31.0).reshape(6, 5)
+    base[0] = [2.0, -2.0, -0.0, 0.0, 4.0]
+    base[1, 0] = -6.0
+    base[1, 2:4] = -0.0
+    base[1 + nonzero_rows:, 0] = 0.0
+    base[5, 1] = -0.0
+    want = base.copy()
     _reference(_Counts())[0](want, np.zeros(6, dtype=np.int64), 0, 0)
-    basis = np.zeros(6, dtype=np.int64)
-    lp_mod._pivot(T, basis, 0, 0)
+    assert np.signbit(want[1, 2]) and not np.signbit(want[1, 3])
+    for buf in (None, np.empty((2, 5))):
+        T = base.copy()
+        basis = np.zeros(6, dtype=np.int64)
+        lp_mod._pivot(T, basis, 0, 0, buf)
+        assert T.tobytes() == want.tobytes()
+        assert np.signbit(T[5, 1]) and T[5, 1] == 0.0
+        assert basis[0] == 0
+
+
+def test_pivot_temporaries_stay_within_one_block():
+    # A tableau of several product blocks, some rows with a zero multiplier:
+    # the pivot allocates at most one block, numpy's iterator buffer for the
+    # broadcast pivot row (np.getbufsize() floats) and O(rows + columns)
+    # floats, not a temporary of the tableau's size.
+    rng = np.random.default_rng(0)
+    m, width = 400, 1001
+    T = rng.uniform(0.5, 2.0, (m, width))
+    T[::7, 3] = 0.0
+    want = T.copy()
+    _reference(_Counts())[0](want, np.arange(m), 5, 3)
+    assert T.size > 4 * lp_mod._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        lp_mod._pivot(T, np.arange(m), 5, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert T.tobytes() == want.tobytes()
-    assert np.signbit(T[5, 1]) and T[5, 1] == 0.0
-    assert basis[0] == 0
+    assert peak <= 8 * (lp_mod._BLOCK_CELLS + np.getbufsize() + 4 * (m + width))
+
+
+def _sequential_leaving_row(T, basis, enter):
+    """The ratio test as a loop over the rows: (row, ratio), or (-1, inf)."""
+    leave, best = -1, np.inf
+    for r in range(T.shape[0]):
+        a = T[r, enter]
+        if a > _PIVOT_TOL:
+            ratio = float(T[r, -1] / a)
+            if ratio < best - _PIVOT_TOL or (
+                abs(ratio - best) <= _PIVOT_TOL and (leave < 0 or basis[r] < basis[leave])
+            ):
+                best, leave = ratio, r
+    return leave, best
+
+
+def test_leaving_row_matches_sequential_rule_near_ties():
+    # The least ratio, then a second one 0, tau/2, tau, 2 tau or 3 tau above
+    # it, moved by a few ulps, at magnitudes 1e-3 to 1e11 (above about
+    # 1e7 an ulp exceeds tau); the other rows are larger ratios, rows that
+    # are not eligible, and right-hand sides of NaN and +-inf.  Designed
+    # ratios have entry 1.0, so rhs / entry is exactly the ratio.
+    rng = np.random.default_rng(23)
+    tau = _PIVOT_TOL
+    fast = 0
+    for _ in range(4000):
+        m = int(rng.integers(2, 10))
+        scale = 10.0 ** rng.uniform(-3, 11)
+        low = (scale * rng.uniform(0.5, 2.0), 0.0, -1e-12 * scale)[int(rng.integers(0, 3))]
+        second = low + tau * (0.0, 0.5, 1.0, 2.0, 3.0)[int(rng.integers(0, 5))]
+        for _ in range(int(rng.integers(-2, 4))):
+            second = np.nextafter(second, np.inf if second >= low else -np.inf)
+        T = np.empty((m, 2))
+        T[:, 0] = 1.0
+        T[:, 1] = second + scale * rng.uniform(0.0, 3.0, m)
+        rows = rng.permutation(m)
+        T[rows[0], 1], T[rows[1], 1] = low, second
+        for r in rows[2:]:
+            kind = int(rng.integers(0, 6))
+            if kind == 1:
+                T[r, 0] = (0.0, -0.0, -1.0, tau, 0.5 * tau, np.nan)[int(rng.integers(0, 6))]
+            elif kind == 2:
+                T[r, 1] = (np.nan, np.inf, -np.inf)[int(rng.integers(0, 3))]
+            elif kind == 3:
+                T[r, 0] = rng.uniform(0.1, 10.0)
+        if rng.random() < 0.05:
+            T[rows[0], 1] = (np.nan, np.inf)[int(rng.integers(0, 2))]
+        basis = rng.permutation(3 * m)[:m]
+        want = _sequential_leaving_row(T, basis, 0)
+        got = lp_mod._leaving_row(T, basis, 0, np.empty(m))
+        assert (got[0], np.float64(got[1]).tobytes()) == (want[0], np.float64(want[1]).tobytes())
+        finite = np.abs(T[:, 1] / np.where(T[:, 0] > tau, T[:, 0], np.nan)) < np.inf
+        fast += want[0] >= 0 and np.count_nonzero(
+            T[finite, 1] / T[finite, 0] <= want[1] + 2 * tau) == 1
+    assert 1000 < fast < 3000    # both the one-pass answer and the loop run
 
 
 def test_corpus_reaches_every_path(monkeypatch):
