@@ -12,6 +12,12 @@ Problem sizes here are modest: one row per piece (tens on the benchmark)
 or per key, whichever is fewer, and one column per key or per piece (up to
 a few hundred on the benchmark), so a dense tableau is the right tool.
 
+Each iteration keeps the bits of the row-at-a-time loop: the entering
+column is one masked argmin (Bland: argmax), the ratio test runs its
+sequential tie rule only on near-ties (`_leaving_row`), and the pivot is
+an unmasked rank-1 update in blocks of rows through a buffer of at most
+`_BLOCK_CELLS` cells (`_pivot`).
+
 Tableau layout: the variables, one slack per inequality row, one artificial
 per row that needs one (an equality row or a row with a negative right-hand
 side, in row order), then the right-hand side.
@@ -90,7 +96,9 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
     for lo in range(0, m, step):
         block, out = T[lo:lo + step], buf[:m - lo]
         mult = block[:, col:col + 1]
-        np.copyto(out, mult)               # out[r, j] = T[r, col] * T[row, j]
+        # out[r, j] = T[r, col] * T[row, j], in the loop's operand order;
+        # numpy runs this faster than one broadcast multiply into out.
+        np.copyto(out, mult)
         out *= prow
         if np.count_nonzero(mult) < len(mult):
             np.copyto(out, 0.0, where=mult == 0.0)

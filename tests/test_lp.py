@@ -394,7 +394,7 @@ def test_polytope_shaped_lp_matches_loop_reference(name, monkeypatch):
 @pytest.mark.parametrize("nonzero_rows", [1, 4])
 def test_pivot_keeps_signed_zeros(nonzero_rows):
     # Row 5 has a zero in the pivot column, so it must stay untouched: its
-    # -0.0 would become +0.0 under -0.0 - (0.0 * -2.0).  Row 1 has the
+    # -0.0 would become +0.0 under -0.0 - (0.0 * -1.0).  Row 1 has the
     # multiplier -6.0 and -0.0 where the pivot row has -0.0 and +0.0: the
     # loop gives -0.0 - (-6.0 * -0.0) = -0.0 and -0.0 - (-6.0 * +0.0) = +0.0,
     # where an update whose products start from +0.0 (einsum, or a BLAS
