@@ -65,9 +65,9 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _scratch(T: np.ndarray) -> np.ndarray:
-    """The product buffer of `_pivot` for tableau T: whole rows, at most
-    `_BLOCK_CELLS` cells unless one row alone is longer."""
+def _product_buffer(T: np.ndarray) -> np.ndarray:
+    """The buffer `_pivot` forms its products in, for tableau T: whole
+    rows, at most `_BLOCK_CELLS` cells unless one row alone is longer."""
     m, width = T.shape
     return np.empty((max(1, min(m, _BLOCK_CELLS // width)), width))
 
@@ -79,9 +79,9 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
     the pivot column.
 
     The rank-1 update runs unmasked, one block of rows of `buf` (from
-    `_scratch`; made here when not given) at a time: the buffer takes the
-    block's multipliers T[r, col] times the pivot row, and the block
-    subtracts it, so no temporary of the tableau's size is made.  Before
+    `_product_buffer`; made here when not given) at a time: the buffer
+    takes the block's multipliers T[r, col] times the pivot row, and the
+    block subtracts it, so no temporary of the tableau's size is made.  Before
     the subtraction the product rows of the pivot row and of the rows with
     a zero multiplier are set to +0.0: x - (+0.0) is x in every bit, so
     those rows keep their signed zeros, which a product of -0.0 could flip.
@@ -90,7 +90,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
     """
     T[row] /= T[row, col]
     if buf is None:
-        buf = _scratch(T)
+        buf = _product_buffer(T)
     prow = T[row]                          # left as it is by the update
     m, step = T.shape[0], buf.shape[0]
     for lo in range(0, m, step):
@@ -113,7 +113,7 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
     """Ratio test on column `enter` of T: the leaving row and its ratio
     rhs / entry over the rows whose entry exceeds `_PIVOT_TOL`, or
     (-1, inf) when the rule picks none: no such row, or only +inf and NaN
-    ratios.  `ratios` is scratch with one cell per row.
+    ratios.  `ratios` is a work array with one cell per row.
 
     The rule is sequential (a tolerance band, not an argmin): in row order
     a ratio below the best by more than `_PIVOT_TOL`, or within it with a
@@ -154,7 +154,7 @@ def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     pricing step.  T and basis are updated in place.
     """
     n = T.shape[1] - 1
-    buf = _scratch(T)
+    buf = _product_buffer(T)
     ratios = np.empty(T.shape[0])
     degenerate = 0                         # consecutive degenerate pivots
     for _ in range(_MAX_ITER):

@@ -384,9 +384,9 @@ def test_polytope_shaped_lp_matches_loop_reference(name, monkeypatch):
     # Again with a product buffer of a few rows, so that every pivot runs
     # its update in row blocks, the last one short.
     made = []
-    scratch = lp_mod._scratch
+    make = lp_mod._product_buffer
     monkeypatch.setattr(lp_mod, "_BLOCK_CELLS", 2000)
-    monkeypatch.setattr(lp_mod, "_scratch", lambda T: made.append(scratch(T)) or made[-1])
+    monkeypatch.setattr(lp_mod, "_product_buffer", lambda T: made.append(make(T)) or made[-1])
     _same_bits(solve_lp(*case), want)
     assert made and all(1 < len(buf) < 49 and 49 % len(buf) for buf in made)
 
