@@ -107,13 +107,26 @@ class HblCertificate:
         return abs(self.gap) <= tol.tol_lp
 
 
+def _gains(inst: HblInstance) -> List[np.ndarray]:
+    """Each space's table of piece values T_m @ S_m.pieces^T."""
+    return [tab @ S.pieces.T for S, tab in zip(inst.sublinears, inst.tables)]
+
+
 def check_midpoint_hbl(
     inst: HblInstance,
     tol_mid: float = DEFAULT_TOL.tol_mid,
+    *,
+    gains: Optional[List[np.ndarray]] = None,
 ) -> MidpointReport:
-    """Pairwise scan of the summed midpoint condition, payload included."""
-    gains = [tab @ S.pieces.T for S, tab in zip(inst.sublinears, inst.tables)]
-    return midpoint_scan(gains, inst.payload, tol_mid)
+    """Pairwise scan of the summed midpoint condition, payload included.
+    `gains` is `_gains(inst)`, when the caller has formed it."""
+    return midpoint_scan(_gains(inst) if gains is None else gains, inst.payload, tol_mid)
+
+
+def _scan_and_solve(inst: HblInstance, tol: ToleranceConfig) -> HblCertificate:
+    """Scan inst and solve its minimum LP on one copy of its gains."""
+    gains = _gains(inst)
+    return _solve_product(inst, check_midpoint_hbl(inst, tol.tol_mid, gains=gains), gains)
 
 
 def solve_hbl_n(
@@ -122,28 +135,29 @@ def solve_hbl_n(
 ) -> HblCertificate:
     """The minimum LP with one simplex of weights per space, payload
     included."""
-    return _solve_product(inst, check_midpoint_hbl(inst, tol.tol_mid))
+    return _scan_and_solve(inst, tol)
 
 
-def _solve_product(inst: HblInstance, midpoint: MidpointReport) -> HblCertificate:
+def _solve_product(inst: HblInstance, midpoint: MidpointReport,
+                   gains: List[np.ndarray]) -> HblCertificate:
     """The minimum LP with one space per sublinear, on the gains
-    T_m @ S_m.pieces^T, certified with the given midpoint report.  A payload
-    is folded into the first space's gains, which is exact because that
-    space's weights sum to 1."""
-    gains = [tab @ S.pieces.T for S, tab in zip(inst.sublinears, inst.tables)]
+    T_m @ S_m.pieces^T (`_gains`), certified with the given midpoint report.
+    A payload is folded into the first space's gains, which is exact because
+    that space's weights sum to 1."""
+    lp_gains = list(gains)
     if inst.payload is not None:
-        gains[0] = gains[0] + inst.payload[:, None]
-    _, weights = _min_lp(gains)
+        lp_gains[0] = gains[0] + inst.payload[:, None]
+    _, weights = _min_lp(lp_gains)
 
     maps: List[LinearMap] = []
     # No zero payload is added when there is none: 0.0 + -0.0 is 0.0.
     lin_side = [] if inst.payload is None else [inst.payload]
     sub_side = list(lin_side)
-    for S, tab, theta in zip(inst.sublinears, inst.tables, weights):
+    for S, tab, G, theta in zip(inst.sublinears, inst.tables, gains, weights):
         Lm = LinearMap(S.pieces.T @ theta)
         maps.append(Lm)
         lin_side.append(tab @ Lm.w)
-        sub_side.append(S.batch(tab))
+        sub_side.append(np.max(G, axis=1))     # S_m at each key
 
     value = float(np.min(functools.reduce(np.add, lin_side)))
     target = float(np.min(functools.reduce(np.add, sub_side)))
@@ -190,7 +204,6 @@ def solve_hbl_jk(
     # identity comes out exactly.
     j_table = np.asarray(j, dtype=np.float64).reshape(-1, S.dim)
     k_table = np.asarray(k, dtype=np.float64).reshape(-1)
-    inst = HblInstance([S], [j_table], k_table)
-    cert = _solve_product(inst, check_midpoint_hbl(inst, tol.tol_mid))
+    cert = _scan_and_solve(HblInstance([S], [j_table], k_table), tol)
     return dataclasses.replace(cert, maps=cert.maps + [LinearMap(np.ones(1))],
                                weights=cert.weights + [np.ones(1)])

@@ -13,7 +13,7 @@ both sides so an independent checker can confirm it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -51,11 +51,15 @@ def check_midpoint(
     S: PolyhedralSublinear,
     D: List,
     tol_mid: float = DEFAULT_TOL.tol_mid,
+    *,
+    gains: Optional[np.ndarray] = None,
 ) -> MidpointReport:
     """Scan every unordered pair in D for a candidate d with
-    S(d - (d1 + d2)/2) <= tol_mid; record first witnesses in input order."""
-    pts = _as_point_rows(D, S.dim)
-    return midpoint_scan([pts @ S.pieces.T], None, tol_mid)
+    S(d - (d1 + d2)/2) <= tol_mid; record first witnesses in input order.
+    `gains` is D's table of piece values, when the caller has formed it."""
+    if gains is None:
+        gains = _as_point_rows(D, S.dim) @ S.pieces.T
+    return midpoint_scan([gains], None, tol_mid)
 
 
 def solve_mok(
@@ -71,8 +75,9 @@ def solve_mok(
     L = sum_i theta_i l_i.
     """
     pts = _as_point_rows(D, S.dim)
-    midpoint = check_midpoint(S, pts, tol.tol_mid)
-    cert = _solve_product(HblInstance([S], [pts]), midpoint)
+    gains = pts @ S.pieces.T
+    midpoint = check_midpoint(S, pts, tol.tol_mid, gains=gains)
+    cert = _solve_product(HblInstance([S], [pts]), midpoint, [gains])
     return MokCertificate(
         L=cert.maps[0],
         weights=cert.weights[0],

@@ -183,17 +183,25 @@ def check_scored_midpoint(
     F: MaxAffineFn,
     B: FiniteScoredSet,
     tol: float = DEFAULT_TOL.tol_mid,
+    *,
+    gains: Optional[np.ndarray] = None,
 ) -> MidpointReport:
     """For each pair in B, seek (b, beta) whose recession value
     max_i <a_i, b - (b1+b2)/2> plus the matching score offset is <= tol.
 
     This is the exact max-affine reduction of the ray-quantified hypothesis:
     equality already holds at ray parameter 0, so only the asymptotic slope
-    can break it.
+    can break it.  `gains` is B.points @ F.slopes^T, when the caller has
+    formed it.
     """
+    return midpoint_scan([_scored_gains(F, B) if gains is None else gains], B.scores, tol)
+
+
+def _scored_gains(F: MaxAffineFn, B: FiniteScoredSet) -> np.ndarray:
+    """B.points @ F.slopes^T: each point's value under each of f's slopes."""
     if B.dim != F.dim:
         raise DimensionMismatch(f"the scored set is {B.dim}-d but f is {F.dim}-d")
-    return midpoint_scan([B.points @ F.slopes.T], B.scores, tol)
+    return B.points @ F.slopes.T
 
 
 def _min_lp_shape(keys: int, pieces: int, spaces: int = 1) -> Tuple[int, int, int]:
@@ -289,25 +297,27 @@ def _domination_report(F: MaxAffineFn, A: AffineMap, theta: np.ndarray) -> Domin
                             float(np.max(np.abs(F.slopes.T @ theta - A.w))))
 
 
-def _level_rows(F: MaxAffineFn, points: np.ndarray, scores: np.ndarray,
+def _level_rows(F: MaxAffineFn, gains: np.ndarray, scores: np.ndarray,
                 delta: float) -> np.ndarray:
     """Coefficients of mu in the lifted level <Lam, b> - lam * eta_b at each
-    constraint point b, eta_b = delta - score_b - f(0) - 1."""
+    constraint point b, eta_b = delta - score_b - f(0) - 1, from the gains
+    <a_i, b> of the points (rows) against f's slopes."""
     eta = delta - scores - F.value_at_origin() - 1.0
-    return points @ F.slopes.T - eta[:, None]
+    return gains - eta[:, None]
 
 
 def _certificate(
     F: MaxAffineFn,
     theta: np.ndarray,
     points: np.ndarray,
+    gains: np.ndarray,
     scores: np.ndarray,
     delta: float,
     condition: MidpointReport,
     payload: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> SynthCertificate:
     """The certificate of weights theta on the simplex of f's pieces, the
-    dual solution of the minimum LP.
+    dual solution of the minimum LP; `gains` is points @ F.slopes^T.
 
     The gauge weights mu = theta / (theta . (f(0) + 1 - b)) make the gauge
     row tight, so lam = sum mu lies in (0, 1]; the lifted map is
@@ -317,7 +327,7 @@ def _certificate(
     its score, the rows weighted by pi scaled alike."""
     scale = 1.0 / (theta @ (F.value_at_origin() + 1.0 - F.offsets))
     mu = scale * theta
-    levels = _level_rows(F, points, scores, delta) @ mu
+    levels = _level_rows(F, gains, scores, delta) @ mu
     if payload is not None:
         rows, pi = payload
         levels = levels + rows @ (scale * pi)
@@ -363,13 +373,14 @@ def _synth_finite(F: MaxAffineFn, B: FiniteScoredSet, tol: ToleranceConfig) -> S
     offsets and the scores folded into the gains
     G[b, i] = <a_i, b> + b_i + score_b.  delta is the least scored value of
     f over B."""
-    condition = check_scored_midpoint(F, B, tol.tol_mid)
+    gains = _scored_gains(F, B)
+    condition = check_scored_midpoint(F, B, tol.tol_mid, gains=gains)
     if not condition.satisfied:
         raise ConditionViolated(condition)
-    pieces = B.points @ F.slopes.T + F.offsets    # f's pieces at each point
+    pieces = gains + F.offsets    # f's pieces at each point
     _, (theta,) = _min_lp([pieces + B.scores[:, None]])
     delta = float(np.min(pieces.max(axis=1) + B.scores))
-    return _certificate(F, theta, B.points, B.scores, delta, condition)
+    return _certificate(F, theta, B.points, gains, B.scores, delta, condition)
 
 
 def support_at_point(F: MaxAffineFn, x) -> AffineMap:
@@ -453,7 +464,7 @@ def _synth_polytope(
     # Piece by piece, so an affine k gives exactly k.batch(V).
     KV = np.column_stack([V @ a + b for a, b in zip(K.slopes, K.offsets)])
     # The payload's share of a row beyond k_1(v), which the level rows hold.
-    cert = _certificate(F, theta, pts, KV[:, 0], delta, _auto_report(),
+    cert = _certificate(F, theta, pts, pts @ F.slopes.T, KV[:, 0], delta, _auto_report(),
                         (KV[:, 1:] - KV[:, :1], pi[1:]))
     if K.npieces == 1:
         return cert

@@ -116,9 +116,12 @@ class TestPointRows:
         seen = []
         real = mok_mod.check_midpoint
 
-        def spy(S, D, tol):
+        def spy(S, D, tol, **kw):
             seen.append(D)
-            return real(S, D, tol)
+            gains.append(kw["gains"])
+            return real(S, D, tol, **kw)
+
+        gains = []
 
         monkeypatch.setattr(mok_mod, "check_midpoint", spy)
         S = PolyhedralSublinear(np.array([[1.0, 0.0], [-1.0, 0.5]]))
@@ -127,3 +130,5 @@ class TestPointRows:
         assert len(seen) == 1 and isinstance(seen[0], np.ndarray)
         assert seen[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert cert.target == min(S(d) for d in seen[0])
+        # The scan gets the gain table the solve forms once.
+        assert gains[0].tobytes() == (seen[0] @ S.pieces.T).tobytes()

@@ -418,9 +418,9 @@ class TestSingleScan:
         calls = []
         real = synth.check_scored_midpoint
 
-        def counting(F, B, tol):
+        def counting(F, B, tol, **kw):
             calls.append(B.size)
-            return real(F, B, tol)
+            return real(F, B, tol, **kw)
 
         monkeypatch.setattr(synth, "check_scored_midpoint", counting)
         return calls
