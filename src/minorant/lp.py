@@ -1,4 +1,4 @@
-"""Self-contained dense two-phase simplex: Dantzig pricing with a Bland
+"""Self-contained two-phase revised simplex: Dantzig pricing with a Bland
 fallback.
 
 This is deliberately dependency-free and deterministic: the pivot rule is
@@ -8,28 +8,32 @@ lowest-index basic variable leaves on ratio ties.  After
 `_DEGENERATE_LIMIT` consecutive degenerate pivots the phase switches to
 Bland's rule (lowest eligible index enters) for good, so it cannot cycle.
 
-Problem sizes here are modest: one row per piece (tens on the benchmark)
-or per key, whichever is fewer, and one column per key or per piece (up to
-a few hundred on the benchmark), so a dense tableau is the right tool.
+Problem sizes here are modest in rows: one per piece (tens on the
+benchmark) or per key, whichever is fewer; the columns, one per key or per
+piece, run to a few hundred on the benchmark and to hundreds of thousands
+on a large polytope.  So the solver keeps only the revised simplex's state
+(Dantzig & Orchard-Hays 1954; Chvatal, *Linear Programming*, ch. 7): the
+rows x rows basis inverse B^-1 and the basic solution x_B, side by side in
+one array [B^-1 | x_B].  Each iteration prices y = c_B B^-1 against the
+constraint matrix as the caller gave it, forms only the entering column
+d = B^-1 a_q, runs the ratio test on x_B / d (`_leaving_row`) and applies
+the rank-1 update to [B^-1 | x_B] (`_pivot`), so a pivot's cost does not
+grow with the number of columns.
 
-Each iteration keeps the bits of the row-at-a-time loop: the entering
-column is one masked argmin (Bland: argmax), the ratio test runs its
-sequential tie rule only on near-ties (`_leaving_row`), and the pivot is
-an unmasked rank-1 update in blocks of rows through a buffer of at most
-`_BLOCK_CELLS` cells (`_pivot`).
-
-Tableau layout: the variables, one slack per inequality row, one artificial
-per row that needs one (an equality row or a row with a negative right-hand
-side, in row order), then the right-hand side.
+Columns, in this order: the variables, one slack per inequality row, and
+one artificial per row that starts on one (an equality row or a row with a
+negative right-hand side, in row order).  The rows stay as the caller gave
+them: the artificial of row r has the coefficient s_r, -1 when b_r < 0
+and +1 otherwise, so that it starts at |b_r|.  So B^-1 starts as the diagonal of the row signs
+and x_B as |b|, and no copy of the constraint matrix is made (`_Columns`).
 
 Convention: maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
-Row duals come from the final phase-2 reduced costs, with no extra solve.
-The dual of inequality row i is the reduced cost of its slack column; the
-slack column of a negated row carries the sign, so the dual is that of the
-row as given.  The dual of an equality row is the reduced cost of its
-artificial column times the row's sign.  At an optimum the duals y solve
-min b.y over y_ub >= 0, A^T y >= c, and b.y = c.x.
+Row duals are y = c_B B^-1 of the last phase-2 pricing, with no extra
+solve: the reduced cost of an inequality row's slack and, for an equality
+row, the reduced cost of its artificial times the row's sign.  At an
+optimum the duals y solve min b.y over y_ub >= 0, A^T y >= c, and
+b.y = c.x.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
 _MAX_ITER = 20000
 _DEGENERATE_LIMIT = 50   # consecutive degenerate pivots before Bland's rule
-_BLOCK_CELLS = 1 << 16   # cells of the pivot's product buffer (512 KB)
 
 
 class LpError(RuntimeError):
@@ -59,61 +62,90 @@ class LpSolution:
     x: Optional[np.ndarray]      # primal point when optimal
     value: Optional[float]       # objective value when optimal
     duals: Optional[np.ndarray] = None  # row duals when optimal: b_ub rows, then b_eq rows
+    # Each row's basic column when optimal, numbered variables, then slacks,
+    # then artificials.
+    basis: Optional[np.ndarray] = None
+    pivots: Tuple[int, int] = (0, 0)    # (phase 1 with its pivot-outs, phase 2)
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
 
 
-def _product_buffer(T: np.ndarray) -> np.ndarray:
-    """The buffer `_pivot` forms its products in, for tableau T: whole
-    rows, at most `_BLOCK_CELLS` cells unless one row alone is longer."""
-    m, width = T.shape
-    return np.empty((max(1, min(m, _BLOCK_CELLS // width)), width))
+class _Columns:
+    """The LP's columns, read from the constraint matrix as the caller gave
+    it: variable j is A[:, j], the slack of inequality row i is e_i and the
+    artificial of row r is s_r e_r, for the row signs s.  Every matrix
+    product of the kernel is here: y = c_B B^-1 (`duals`), y times each
+    column (`price`) and d = B^-1 a_j (`column`)."""
+
+    def __init__(self, A_ub: np.ndarray, A_eq: np.ndarray, art_rows: np.ndarray,
+                 art_sign: np.ndarray):
+        self.A_ub, self.A_eq, self.art_rows, self.art_sign = A_ub, A_eq, art_rows, art_sign
+        self.n, self.m_ub = A_ub.shape[1], A_ub.shape[0]
+        self.count = self.n + self.m_ub + art_rows.size
+
+    def duals(self, c_B: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """y = c_B B^-1 for the state [B^-1 | x_B]."""
+        return c_B @ state[:, :-1]
+
+    def price(self, y: np.ndarray, count: int) -> np.ndarray:
+        """y times each of the first `count` columns: y . A[:, j] for the
+        variables, y_i for the slacks and y_r s_r for the artificials."""
+        n, m_ub = self.n, self.m_ub
+        out = np.empty(count)
+        if m_ub:
+            np.matmul(y[:m_ub], self.A_ub, out=out[:n])
+        else:
+            out[:n] = 0.0
+        if self.A_eq.shape[0]:
+            out[:n] += y[m_ub:] @ self.A_eq
+        out[n:n + m_ub] = y[:m_ub]
+        if count > n + m_ub:
+            out[n + m_ub:] = y[self.art_rows] * self.art_sign
+        return out
+
+    def column(self, state: np.ndarray, j: int) -> np.ndarray:
+        """d = B^-1 a_j for column j, from the state [B^-1 | x_B]."""
+        n, m_ub = self.n, self.m_ub
+        if j >= n + m_ub:
+            k = j - n - m_ub
+            return state[:, self.art_rows[k]] * self.art_sign[k]
+        if j >= n:
+            return state[:, j - n].copy()
+        a = np.empty(state.shape[0])
+        a[:m_ub] = self.A_ub[:, j]
+        a[m_ub:] = self.A_eq[:, j]
+        return state[:, :-1] @ a
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
-           buf: Optional[np.ndarray] = None) -> None:
-    """Pivot T on (row, col) in place, with the bits of the row loop
-    `T[r] -= T[r, col] * T[row]` over every other row with a nonzero in
-    the pivot column.
+def _pivot(state: np.ndarray, d: np.ndarray, row: int, out: np.ndarray) -> None:
+    """Pivot the state [B^-1 | x_B] on `row` for the entering column d, in
+    place, with the bits of the row loop `state[r] -= d[r] * state[row]`
+    over every other row with a nonzero d[r].
 
-    The rank-1 update runs unmasked, one block of rows of `buf` (from
-    `_product_buffer`; made here when not given) at a time: the buffer
-    takes the block's multipliers T[r, col] times the pivot row, and the
-    block subtracts it, so no temporary of the tableau's size is made.  Before
-    the subtraction the product rows of the pivot row and of the rows with
-    a zero multiplier are set to +0.0: x - (+0.0) is x in every bit, so
-    those rows keep their signed zeros, which a product of -0.0 could flip.
-    Subtracting +0.0 cannot overflow, so a floating-point error can come
-    only from a product of a multiplier and a pivot-row entry.
+    `out` is a work array of the state's shape.  It takes the products
+    d[r] * state[row, j], in the loop's operand order, and the state
+    subtracts it.  Before that, the product rows of the pivot row and of
+    the rows with a zero d[r] are set to +0.0: x - (+0.0) is x in every
+    bit, so those rows keep their signed zeros, which a product of -0.0
+    could flip.  A pivot writes rows x (rows + 1) cells.
     """
-    T[row] /= T[row, col]
-    if buf is None:
-        buf = _product_buffer(T)
-    prow = T[row]                          # left as it is by the update
-    m, step = T.shape[0], buf.shape[0]
-    for lo in range(0, m, step):
-        block, out = T[lo:lo + step], buf[:m - lo]
-        mult = block[:, col:col + 1]
-        # out[r, j] = T[r, col] * T[row, j], in the loop's operand order;
-        # numpy runs this faster than one broadcast multiply into out.
-        np.copyto(out, mult)
-        out *= prow
-        if np.count_nonzero(mult) < len(mult):
-            np.copyto(out, 0.0, where=mult == 0.0)
-        if lo <= row < lo + step:
-            out[row - lo] = 0.0
-        block -= out
-    basis[row] = col
+    state[row] /= d[row]
+    np.multiply(d[:, None], state[row], out=out)
+    if np.count_nonzero(d) < d.size:
+        out[d == 0.0] = 0.0
+    out[row] = 0.0
+    state -= out
 
 
-def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
+def _leaving_row(d: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
                  ratios: np.ndarray) -> Tuple[int, float]:
-    """Ratio test on column `enter` of T: the leaving row and its ratio
-    rhs / entry over the rows whose entry exceeds `_PIVOT_TOL`, or
-    (-1, inf) when the rule picks none: no such row, or only +inf and NaN
-    ratios.  `ratios` is a work array with one cell per row.
+    """Ratio test of the entering column d against the basic solution
+    `rhs`: the leaving row and its ratio rhs / d over the rows whose d
+    exceeds `_PIVOT_TOL`, or (-1, inf) when the rule picks none: no such
+    row, or only +inf and NaN ratios.  `ratios` is a work array with one
+    cell per row.
 
     The rule is sequential (a tolerance band, not an argmin): in row order
     a ratio below the best by more than `_PIVOT_TOL`, or within it with a
@@ -121,10 +153,9 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
     no other ratio within 2 * _PIVOT_TOL of it is the row that rule picks,
     so it leaves at once and only near-ties run the loop.
     """
-    column = T[:, enter]
-    positive = column > _PIVOT_TOL
+    positive = d > _PIVOT_TOL
     ratios.fill(np.inf)
-    np.divide(T[:, -1], column, out=ratios, where=positive)
+    np.divide(rhs, d, out=ratios, where=positive)
     leave = int(ratios.argmin())
     best_ratio = float(ratios[leave])
     if abs(best_ratio) < np.inf and np.count_nonzero(
@@ -143,59 +174,70 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
     return leave, best_ratio
 
 
-def _simplex_core(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                  allowed: np.ndarray) -> Tuple[str, np.ndarray]:
-    """Run the simplex on tableau T (rows = constraints, last column = rhs)
-    maximizing `cost` over columns flagged in `allowed`: Dantzig pricing,
-    then Bland's rule once `_DEGENERATE_LIMIT` pivots in a row are
-    degenerate (leaving ratio within `_PIVOT_TOL` of zero).
+def _simplex_core(cols: _Columns, state: np.ndarray, basis: np.ndarray,
+                  cost: np.ndarray, priced: int,
+                  out: np.ndarray) -> Tuple[str, np.ndarray, int]:
+    """Run the simplex from the state [B^-1 | x_B] maximizing `cost` (one
+    entry per column) over the first `priced` columns, which phase 2 takes
+    without the artificials: Dantzig pricing, then Bland's rule once
+    `_DEGENERATE_LIMIT` pivots in a row are degenerate (leaving ratio
+    within `_PIVOT_TOL` of zero).  `out` is `_pivot`'s work array.
 
-    Returns "optimal" or "unbounded", and the reduced costs of the last
-    pricing step.  T and basis are updated in place.
+    Returns "optimal" or "unbounded", y of the last pricing step and the
+    number of pivots.  The state and basis are updated in place.
     """
-    n = T.shape[1] - 1
-    buf = _product_buffer(T)
-    ratios = np.empty(T.shape[0])
+    ratios = np.empty(state.shape[0])
     degenerate = 0                         # consecutive degenerate pivots
-    for _ in range(_MAX_ITER):
-        # Reduced costs: z_j - c_j computed by pricing the basis.
-        y = cost[basis]                    # basic objective coefficients
-        reduced = y @ T[:, :n] - cost[:n]
-        eligible = allowed & (reduced < -_PIVOT_TOL)   # a NaN is never eligible
-        if degenerate < _DEGENERATE_LIMIT:
-            # Dantzig: most negative reduced cost, lowest index on ties.
-            enter = int(np.where(eligible, reduced, np.inf).argmin())
-        else:
-            enter = int(eligible.argmax())    # Bland: lowest eligible index
-        if not eligible[enter]:
-            return "optimal", reduced
-        leave, best_ratio = _leaving_row(T, basis, enter, ratios)
+    for pivots in range(_MAX_ITER):
+        y = cols.duals(cost[basis], state)
+        reduced = cols.price(y, priced)
+        reduced -= cost[:priced]           # z_j - c_j
+        # Dantzig: the most negative reduced cost, lowest index on ties.
+        # A NaN is never eligible, but argmin answers the first NaN, so a
+        # NaN answer (and Bland's rule) takes the eligible mask.
+        enter = int(reduced.argmin())
+        if degenerate >= _DEGENERATE_LIMIT or reduced[enter] != reduced[enter]:
+            eligible = reduced < -_PIVOT_TOL
+            if degenerate < _DEGENERATE_LIMIT:
+                enter = int(np.where(eligible, reduced, np.inf).argmin())
+            else:
+                enter = int(eligible.argmax())    # Bland: lowest eligible index
+        if not reduced[enter] < -_PIVOT_TOL:
+            return "optimal", y, pivots
+        d = cols.column(state, enter)
+        leave, best_ratio = _leaving_row(d, state[:, -1], basis, ratios)
         if leave < 0:
-            return "unbounded", reduced
+            return "unbounded", y, pivots
         if degenerate < _DEGENERATE_LIMIT:  # once reached, Bland holds
             degenerate = degenerate + 1 if best_ratio <= _PIVOT_TOL else 0
-        _pivot(T, basis, leave, enter, buf)
+        _pivot(state, d, leave, out)
+        basis[leave] = enter
     raise LpError("simplex iteration cap exceeded")
 
 
-def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, art_mask: np.ndarray,
-                           n_real: int) -> None:
+def _drive_out_artificials(cols: _Columns, state: np.ndarray, basis: np.ndarray,
+                           out: np.ndarray) -> int:
     """After phase 1, pivot each artificial still in the basis onto the first
-    of the `n_real` non-artificial columns with a nonzero entry in its row.
-    A row with none is redundant; its artificial stays basic at ~0 and is
-    kept blocked in phase 2."""
-    for r in range(T.shape[0]):
-        if art_mask[basis[r]]:
-            nonzero = np.flatnonzero(np.abs(T[r, :n_real]) > _PIVOT_TOL)
-            if nonzero.size:
-                _pivot(T, basis, r, int(nonzero[0]))
+    non-artificial column with an entry above `_PIVOT_TOL` in its row of
+    B^-1 A.  A row with none is redundant; its artificial stays basic at ~0
+    and is kept blocked in phase 2.  Returns the number of pivots."""
+    n_real = cols.n + cols.m_ub
+    pivots = 0
+    for r in np.flatnonzero(basis >= n_real).tolist():   # a pivot changes only its row
+        nonzero = np.flatnonzero(np.abs(cols.price(state[r, :-1], n_real)) > _PIVOT_TOL)
+        if nonzero.size:
+            _pivot(state, cols.column(state, int(nonzero[0])), r, out)
+            basis[r] = nonzero[0]
+            pivots += 1
+    return pivots
 
 
 def tableau_cells(n_ub: int, n_eq: int, nvars: int) -> int:
-    """Worst-case cells of the tableau `solve_lp` builds for `n_ub`
-    inequality rows, `n_eq` equality rows and `nvars` variables, as if
-    every row had an artificial column; only equality rows and rows with a
-    negative right-hand side get one."""
+    """The work cap's measure of an LP of `n_ub` inequality rows, `n_eq`
+    equality rows and `nvars` variables: the cells of its full simplex
+    tableau, with an artificial column for every row.  `solve_lp` keeps
+    only rows x (rows + 1) of them, plus a few vectors of one cell per
+    column."""
     rows = n_ub + n_eq
     return rows * (nvars + n_ub + rows + 1)
 
@@ -225,53 +267,41 @@ def solve_lp(
         # Unconstrained over the nonnegative orthant.
         if np.any(c > 0):
             return LpSolution("unbounded", None, None)
-        return LpSolution("optimal", np.zeros(n), 0.0, np.zeros(0))
+        return LpSolution("optimal", np.zeros(n), 0.0, np.zeros(0), np.zeros(0, dtype=np.int64))
 
-    # A row with a negative rhs is negated; it and every equality row start
-    # on an artificial, every other row on its slack.  The rows go straight
-    # into the tableau and are negated there, so no copy of A is made.
-    negative = b < 0
-    sign = np.where(negative, -1.0, 1.0)
-    slack_rows = np.arange(n_slack)
-    art_rows = np.flatnonzero(negative | (np.arange(m) >= n_slack))
+    # A row with a negative rhs and every equality row start on an
+    # artificial, with the coefficient -1 or +1 that makes its start >= 0;
+    # every other row starts on its slack.  So B^-1 starts as the diagonal
+    # of those signs, and x_B as |b|.
+    art_rows = np.flatnonzero((b < 0) | (np.arange(m) >= n_slack))
+    sign = np.where(b < 0, -1.0, 1.0)
+    cols = _Columns(A_ub, A_eq, art_rows, sign[art_rows])
     art_cols = n + n_slack + np.arange(art_rows.size)
-    ncols = n + n_slack + art_rows.size
-    T = np.zeros((m, ncols + 1))
-    T[:n_slack, :n] = A_ub
-    T[n_slack:, :n] = A_eq
-    np.negative(T[:, :n], out=T[:, :n], where=negative[:, None])
-    T[slack_rows, n + slack_rows] = sign[:n_slack]
-    T[art_rows, art_cols] = 1.0
-    T[:, -1] = sign * b
+    state = np.zeros((m, m + 1))
+    state.reshape(-1)[::m + 2] = sign      # the diagonal of B^-1
+    state[:, -1] = sign * b
+    out = np.empty_like(state)
     basis = n + np.arange(m, dtype=np.int64)
     basis[art_rows] = art_cols
 
-    art_mask = np.zeros(ncols, dtype=bool)
-    art_mask[art_cols] = True
-
     # Phase 1: drive artificials to zero.
+    phase1 = 0
     if art_rows.size:
-        cost1 = np.zeros(ncols + 1)
+        cost1 = np.zeros(cols.count)
         cost1[art_cols] = -1.0
-        allowed = np.ones(ncols, dtype=bool)
-        status, _ = _simplex_core(T, basis, cost1, allowed)
+        status, _, phase1 = _simplex_core(cols, state, basis, cost1, cols.count, out)
         if status != "optimal":
             raise LpError("phase 1 cannot be unbounded")
-        obj1 = float(cost1[basis] @ T[:, -1])
-        if obj1 < -_FEAS_TOL:
-            return LpSolution("infeasible", None, None)
-        _drive_out_artificials(T, basis, art_mask, n + n_slack)
+        if float(cost1[basis] @ state[:, -1]) < -_FEAS_TOL:
+            return LpSolution("infeasible", None, None, pivots=(phase1, 0))
+        phase1 += _drive_out_artificials(cols, state, basis, out)
 
-    cost2 = np.zeros(ncols + 1)
+    cost2 = np.zeros(cols.count)
     cost2[:n] = c
-    allowed = ~art_mask
-    status, reduced = _simplex_core(T, basis, cost2, allowed)
+    status, y, phase2 = _simplex_core(cols, state, basis, cost2, n + n_slack, out)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None)
-    x = np.zeros(ncols)
-    x[basis] = T[:, -1]
-    xr = x[:n].copy()
-    # The equality rows are the last rows with an artificial column.
-    eq_cols = art_cols[art_rows.size - (m - n_slack):]
-    duals = np.concatenate([reduced[n + slack_rows], reduced[eq_cols] * sign[n_slack:]])
-    return LpSolution("optimal", xr, float(c @ xr), duals)
+        return LpSolution("unbounded", None, None, pivots=(phase1, phase2))
+    xr = np.zeros(n)
+    real = basis < n
+    xr[basis[real]] = state[real, -1]
+    return LpSolution("optimal", xr, float(c @ xr), y, basis, (phase1, phase2))
