@@ -18,8 +18,9 @@ For every workload and seed the record holds, per end-to-end metric of
 interquartile range, how much worse the change's median is (a negative
 fraction is better) and how many pairs the change won, ties counting for
 neither.  Next to ``peak_rss_mb`` it keeps each run's count of attempted
-problems.  It also holds one 10 s ``--trace 1`` run per workload and side on
-the first seed, and both SHAs.  The file is rewritten after every pair, so an
+problems.  It also holds ``TRACE_RUNS`` alternating 10 s ``--trace 1`` runs
+per workload and side on the first seed, every run and each side's median
+of every metric, so that a per-layer saving can be placed; and both SHAs.  The file is rewritten after every pair, so an
 interrupted session keeps what it measured.
 """
 
@@ -40,7 +41,8 @@ ROOT = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=Tr
                       cwd=os.path.dirname(os.path.abspath(__file__))).stdout.strip()
 SEEDS = (1, 2)
 PAIRS = 10
-TRACE_SECONDS = 10.0  # length of the one traced run per workload and side
+TRACE_RUNS = 3        # traced runs per workload and side, alternating
+TRACE_SECONDS = 10.0  # length of each traced run
 
 
 def _export(rev: str, dest: str) -> str:
@@ -68,6 +70,14 @@ def _run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dic
 def _side(runs: list) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"runs": runs, "median": statistics.median(runs), "q1": q1, "q3": q3}
+
+
+def _trace_medians(runs: list) -> dict:
+    """Each metric's median over traced runs, for the metrics all of them
+    report."""
+    names = set.intersection(*(set(r["metrics"]) for r in runs))
+    return {name: statistics.median(r["metrics"][name]["value"] for r in runs)
+            for name in sorted(names)}
 
 
 def _summary(pairs: list, metrics: list) -> dict:
@@ -116,7 +126,7 @@ def main() -> int:
         record = {
             "parent": {"rev": args.parent, "sha": _export(args.parent, trees["parent"])},
             "change": {"rev": args.change, "sha": _export(args.change, trees["change"])},
-            "settings": {"pairs": PAIRS, "seconds": seconds,
+            "settings": {"pairs": PAIRS, "seconds": seconds, "trace_runs": TRACE_RUNS,
                          "trace_seconds": TRACE_SECONDS, "seeds": list(SEEDS)},
             "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                      "python": platform.python_version()},
@@ -144,9 +154,13 @@ def main() -> int:
                     if len(pairs) >= 2:
                         entry["seeds"][str(seed)] = _summary(pairs, bench["end_to_end"])
                         save()
-            entry["trace"] = {"seed": SEEDS[0], **{
-                side: _run(trees[side], workload, SEEDS[0], TRACE_SECONDS, 1)
-                for side in ("parent", "change")}}
+            traced = {"parent": [], "change": []}
+            for i in range(TRACE_RUNS):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    traced[side].append(_run(trees[side], workload, SEEDS[0], TRACE_SECONDS, 1))
+            entry["trace"] = {"seed": SEEDS[0], "runs": traced,
+                              "medians": {side: _trace_medians(runs)
+                                          for side, runs in traced.items()}}
             save()
     return 0
 
