@@ -361,7 +361,7 @@ class TestToleranceExitCodes:
     def test_polytope_gap_against_tightest_tol_gap(self, tmp_path, capsys):
         # A seeded 3-d polytope whose gap is nonzero but within 1e-15: the
         # tightest tol_gap fails it, and 1e-15 passes it.
-        payload = _edge_payload("synth-sun", 1)
+        payload = _edge_payload("synth-sun", 0)
         runs = []
         for tol_gap in (1e-300, 1e-15):
             text = doc("synth-sun", payload, tolerances={"tol_gap": tol_gap, "tol_mid": 1e-6})
@@ -414,11 +414,11 @@ class TestToleranceExitCodes:
             return {"sublinears": [{"pieces": S.pieces.tolist()} for S in H.sublinears],
                     "tables": [t.tolist() for t in H.tables]}
 
-        code, rep = self._run(tmp_path, capsys, doc("solve-hbl", payload(5)), "solve-hbl")
+        code, rep = self._run(tmp_path, capsys, doc("solve-hbl", payload(7)), "solve-hbl")
         gap = rep["certificate"]["gap"]
         assert code == EXIT_OK and gap != 0.0
         tight = {"tol_lp": abs(gap) / 2}
-        code, _ = self._run(tmp_path, capsys, doc("solve-hbl", payload(5), tolerances=tight),
+        code, _ = self._run(tmp_path, capsys, doc("solve-hbl", payload(7), tolerances=tight),
                             "solve-hbl")
         assert code == EXIT_NUMERICAL
         # A violated hypothesis is reported as such, whatever the tolerances.
@@ -877,7 +877,7 @@ def _edge_payload(kind, seed):
 GOLDEN = {
     "affine-points": ("4ab469c809a7a46729f7959ff499e5ea5321cd03734250406aa347e659d9afc3", 0),
     "affine-points-violated": ("ec2fb628646f8154edcc97b39fd8a6ec46d3340177740146e7618a256c8efa09", 1),
-    "affine-polytope": ("15c1eb32556aca8225e9dfeb2f1290e44f4927f0454e76040ba67196ce6a5661", 0),
+    "affine-polytope": ("93bc53a7e5a9f38fa72388497a10fc8cf1064aa5aff6e7cc3aa1fb5705a447d9", 0),
     "cahbl-finite": ("5ea32137f97834a965a5946ebfbf0ea9b2af16afcf3e681311906906da485540", 0),
     "cahbl-polytope-affine": ("3bfa139e20b0b3ffc8fd17f85f2872a401bd3e2fc59aa4f575bde651a87401f6", 0),
     "cahbl-polytope-max-affine": ("b40a2ed64efb952675aa79ceae92f218005a3eeabf0a0eae04329d708c946dd8", 0),
@@ -889,17 +889,17 @@ GOLDEN = {
     "gen-polytope": ("abc1e9545eb596abf992cf1b439f44d0e55a97505a79752ed3619a36d0c96442", 0),
     "gen-scored-set": ("5bb66bedb817b7738cae895b25e52eb06a1892e58437217b8457cef1055f9f83", 0),
     "hbl-finite": ("a1f2ccb82287f51906529933c8921d44e9da62552796c2cdc7cfd15f882bddad", 0),
-    "hbl-finite-violated": ("4f4e0eb2f1211ed92a8fd7be66f3ee3d774adbab02bf56db25741eb57b2036cd", 1),
-    "hbl-polytope-affine": ("f5567e251a21a8e37134315768e29758af5a4d8dd52dad7df076b9d9072e3659", 0),
+    "hbl-finite-violated": ("150f0e60858751e3d73fc50297c1e0e427290d701a060bce9bab8047f2f95a1e", 1),
+    "hbl-polytope-affine": ("9df8d0230104d3eeb83a18747003116b2f507890fa38112d91c00863150698bc", 0),
     "hbl-polytope-max-affine": ("7b97edf37f584132a06a1a3128c3b70d9a375739d58cfe5c1e8291027e531930", 0),
     "hbl-product": ("0d7235c574110668f956458d24d5b4c19031af4f78136e010ecbcf69652031fb", 0),
     "hbl-product-payload": ("a4f691d6e305ed44f74146ab00e9f97715765223428d9589e8634648f0eb2abf", 0),
-    "mok-satisfied": ("0d1fce2ed28233352887c245046c685788f749051b80aa4c3200fff43abb0627", 0),
-    "mok-violated": ("713d2a1e43b5f02675d687033efe44464271c0fa256b76f8cf70f1ed57b47020", 1),
+    "mok-satisfied": ("daf03bd995d24ba5d5e18e019b808d61e5b39a20db766cf7baf115ae828954ea", 0),
+    "mok-violated": ("90f46ac4e36b4c4e80314308598f18b2e04d99902dedb9cf0aaf1eaadb9901e5", 1),
     "sun-points": ("28fd6ac81d7825ba87309f116e76791d68f185d2a6da61364e83a3715a4bacba", 0),
-    "sun-vertices": ("1e58ec091e3a0fe7776f36f2a686b14ed5f6b10925cfdaaf2f43bf89c5231452", 0),
+    "sun-vertices": ("5cdf7adb800799294b1a68d013e58e43b141601206a7a08a8e814d7d298e09b6", 0),
     "tol-gap-flag": ("91acc8297cfa25ff30503bda9b029306809ea96933994aac60c14d9a2b1a1258", 0),
-    "tolerances": ("960a5999bf69dcc3acd180368a2c7dcf3c5e72a80b2784aed8de7953c7efb133", 0),
+    "tolerances": ("0fd6814b94322d5f45c5a5e472f50087fdbf466f0e41bfaa6e77f4cf8f02a456", 0),
     "verify": ("af983c0ac48e20900e8a27ee11a8469984c127f623c1c6c6bc9dd8b4f2efbef0", 0),
 }
 
@@ -993,7 +993,7 @@ class TestDominationTolerance:
     # (document, its residual that exceeds 1e-16): a golden, or a seed of
     # `_edge_payload`.
     CASES = [("cahbl-edge", "worst_deficit"), ("sun-vertices", "slope_residual")]
-    EDGE = {"cahbl-edge": ("synth-cahbl", 3)}
+    EDGE = {"cahbl-edge": ("synth-cahbl", 5)}
 
     @pytest.mark.parametrize("name,field", CASES)
     def test_residuals_against_tol_dom(self, tmp_path, capsys, name, field):
@@ -1104,21 +1104,23 @@ class TestWorkBudget:
 
         from minorant import cli, lp, synth
 
-        # The estimate is the worst case of one artificial per row; the
-        # tableau solve_lp builds has one per equality row and per row with a
-        # negative right-hand side: 5 x (4 + 3 + 3 + 1) cells here.
+        # The estimate is the worst case of a full tableau with one
+        # artificial per row; solve_lp keeps only [B^-1 | x_B], 5 x (5 + 1)
+        # cells here, and prices 4 + 3 + 3 columns (one artificial per
+        # equality row and per row with a negative right-hand side).
         sizes = set()
         real = lp._simplex_core
 
-        def spy(T, *args):
-            sizes.add(T.size)
-            return real(T, *args)
+        def spy(cols, state, basis, cost, *args):
+            sizes.add((state.size, cost.size))
+            return real(cols, state, basis, cost, *args)
 
         monkeypatch.setattr(lp, "_simplex_core", spy)
         b_ub = np.array([1.0, -1.0, 1.0])
         lp.solve_lp(np.ones(4), np.ones((3, 4)), b_ub, np.ones((2, 4)), np.ones(2))
-        assert sizes == {5 * (4 + 3 + 3 + 1)}
+        assert sizes == {(5 * (5 + 1), 4 + 3 + 3)}
         assert lp.tableau_cells(3, 2, 4) == 5 * (4 + 3 + 5 + 1)
+        assert 5 * (5 + 1) + (4 + 3 + 3) <= lp.tableau_cells(3, 2, 4)
 
         # No pieces over n - 4 keys: the simplex row over n - 4 weights and
         # two levels is a 1 x n tableau.
@@ -1247,17 +1249,19 @@ class TestWorkBudget:
 
         def solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
             # The estimate is the worst case on the shapes solve_lp receives;
-            # the tableau has one artificial per equality row and per row
-            # with a negative right-hand side.
+            # solve_lp keeps [B^-1 | x_B] and prices one column per variable,
+            # slack and artificial (one per equality row and per row with a
+            # negative right-hand side).
             n, n_ub, n_eq = len(c), len(b_ub), 0 if b_eq is None else len(b_eq)
             n_art = n_eq + int(np.count_nonzero(np.asarray(b_ub) < 0))
             built["cells"] = max(built["cells"], lp.tableau_cells(n_ub, n_eq, n))
-            exact.append((n_ub + n_eq) * (n + n_ub + n_art + 1))
+            exact.append(((n_ub + n_eq) * (n_ub + n_eq + 1), n + n_ub + n_art))
             return real_solve(c, A_ub, b_ub, A_eq, b_eq)
 
-        def core(T, *args):
-            assert T.size == exact[-1]
-            return real_core(T, *args)
+        def core(cols, state, basis, cost, *args):
+            assert (state.size, cost.size) == exact[-1]
+            assert state.size + cost.size <= built["cells"]
+            return real_core(cols, state, basis, cost, *args)
 
         def scan(gains, payload, tol):
             k = gains[0].shape[0]
