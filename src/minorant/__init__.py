@@ -6,7 +6,7 @@ Layers:
 * :mod:`minorant.core` — vectors, max-affine functions, polyhedral
   sublinear functionals, affine/linear maps
 * :mod:`minorant.gauge` — the epigraph gauge of a shifted convex function
-* :mod:`minorant.lp` — self-contained dense simplex (Dantzig pricing,
+* :mod:`minorant.lp` — self-contained revised simplex (Dantzig pricing,
   Bland fallback)
 * :mod:`minorant.rng` — the seeded SplitMix64 generator
 * :mod:`minorant.scan` — the pairwise midpoint hypothesis scan

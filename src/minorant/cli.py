@@ -186,7 +186,7 @@ def _parse_tolerances(value, path: str) -> ToleranceConfig:
 # test and benchmark document.
 
 MAX_SCAN_WORK = 1_000_000_000       # candidate x pair x piece terms of the midpoint scan
-MAX_TABLEAU_CELLS = 16_000_000      # float64 cells of one simplex tableau (128 MB)
+MAX_TABLEAU_CELLS = 16_000_000      # one LP's work, in cells of its full tableau (lp.tableau_cells)
 MAX_TRIALS = 1_000                  # trials of one verify suite
 MAX_GEN_FLOATS = 1_000_000          # floats of one generated instance
 
