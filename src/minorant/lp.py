@@ -273,8 +273,9 @@ def solve_lp(
     # artificial, with the coefficient -1 or +1 that makes its start >= 0;
     # every other row starts on its slack.  So B^-1 starts as the diagonal
     # of those signs, and x_B as |b|.
-    art_rows = np.flatnonzero((b < 0) | (np.arange(m) >= n_slack))
-    sign = np.where(b < 0, -1.0, 1.0)
+    negative = b < 0
+    art_rows = np.flatnonzero(negative | (np.arange(m) >= n_slack))
+    sign = np.where(negative, -1.0, 1.0)
     cols = _Columns(A_ub, A_eq, art_rows, sign[art_rows])
     art_cols = n + n_slack + np.arange(art_rows.size)
     state = np.zeros((m, m + 1))
