@@ -20,8 +20,9 @@ fraction is better) and how many pairs the change won, ties counting for
 neither.  Next to ``peak_rss_mb`` it keeps each run's count of attempted
 problems.  It also holds ``TRACE_RUNS`` alternating 10 s ``--trace 1`` runs
 per workload and side on the first seed, every run and each side's median
-of every metric, so that a per-layer saving can be placed; and both SHAs.  The file is rewritten after every pair, so an
-interrupted session keeps what it measured.
+of every metric, so that a per-layer saving can be placed; and both SHAs.
+The file is rewritten after every pair, so an interrupted session keeps
+what it measured.
 """
 
 from __future__ import annotations
